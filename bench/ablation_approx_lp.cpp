@@ -44,7 +44,7 @@ int main() {
     core::TealModel model({}, inst->pb.k_paths());
     core::Admm admm(inst->pb, {});
     util::Timer t;
-    auto fwd = model.forward(inst->pb, tm);
+    auto fwd = model.forward_m(inst->pb, tm);
     auto a = core::allocation_from_splits(
         inst->pb, core::splits_from_logits(fwd.logits, fwd.mask));
     admm.fine_tune(tm, inst->pb.capacities(), a);

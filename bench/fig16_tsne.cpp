@@ -30,7 +30,9 @@ int main() {
   core::TealModel model(cfg.model, inst->pb.k_paths());
   core::train_or_load_model(model, inst->pb, inst->split.train,
                             te::Objective::kTotalFlow, opts);
-  auto fwd = model.forward(inst->pb, tm);
+  core::TealModel::Forward fwd;
+  model.forward(inst->pb, tm, nullptr, fwd,
+                core::ShardPlan::sequential(inst->pb.num_demands()));
 
   // Busy labels from LP-all's (near-)optimal allocation.
   auto lp_alloc = lp::solve_flow_lp(inst->pb, tm);

@@ -47,7 +47,7 @@ void BM_FlowGnnForward(benchmark::State& state) {
   auto& f = swan();
   core::TealModel model({}, f.pb->k_paths());
   for (auto _ : state) {
-    auto fwd = model.forward(*f.pb, f.trace.at(0));
+    auto fwd = model.forward_m(*f.pb, f.trace.at(0));
     benchmark::DoNotOptimize(fwd.logits.data().data());
   }
 }

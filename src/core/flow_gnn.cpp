@@ -25,34 +25,24 @@ FlowGnn::FlowGnn(const FlowGnnConfig& cfg, int k_paths, util::Rng& rng)
   }
   for (int l = 0; l < cfg.n_blocks; ++l) {
     const int d = dims_[static_cast<std::size_t>(l)];
-    edge_linear_.emplace_back(2 * d, d, rng);
-    path_linear_.emplace_back(2 * d, d, rng);
-    dnn_linear_.emplace_back(k_paths * d, k_paths * d, rng);
+    lin_.edge.emplace_back(2 * d, d, rng);
+    lin_.path.emplace_back(2 * d, d, rng);
+    lin_.dnn.emplace_back(k_paths * d, k_paths * d, rng);
   }
 }
 
-void FlowGnn::prepare_f32() {
-  edge_f32_.clear();
-  path_f32_.clear();
-  dnn_f32_.clear();
-  edge_f32_.reserve(edge_linear_.size());
-  path_f32_.reserve(path_linear_.size());
-  dnn_f32_.reserve(dnn_linear_.size());
-  for (const auto& l : edge_linear_) edge_f32_.push_back(l.snapshot_packed_f32());
-  for (const auto& l : path_linear_) path_f32_.push_back(l.snapshot_packed_f32());
-  for (const auto& l : dnn_linear_) dnn_f32_.push_back(l.snapshot_packed_f32());
-}
-
-void FlowGnn::prepare_bf16() {
-  edge_bf16_.clear();
-  path_bf16_.clear();
-  dnn_bf16_.clear();
-  edge_bf16_.reserve(edge_linear_.size());
-  path_bf16_.reserve(path_linear_.size());
-  dnn_bf16_.reserve(dnn_linear_.size());
-  for (const auto& l : edge_linear_) edge_bf16_.push_back(l.snapshot_bf16());
-  for (const auto& l : path_linear_) path_bf16_.push_back(l.snapshot_bf16());
-  for (const auto& l : dnn_linear_) dnn_bf16_.push_back(l.snapshot_bf16());
+void FlowGnn::prepare(te::Precision p) {
+  auto snapshot = [this](auto& dst, auto snap) {
+    dst = {};
+    for (const auto& l : lin_.edge) dst.edge.push_back(snap(l));
+    for (const auto& l : lin_.path) dst.path.push_back(snap(l));
+    for (const auto& l : lin_.dnn) dst.dnn.push_back(snap(l));
+  };
+  if (p == te::Precision::f32) {
+    snapshot(f32_, [](const nn::Linear& l) { return l.snapshot_packed_f32(); });
+  } else if (p == te::Precision::bf16) {
+    snapshot(bf16_, [](const nn::Linear& l) { return l.snapshot_bf16(); });
+  }
 }
 
 namespace {
@@ -141,9 +131,8 @@ void FlowGnn::scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat
 }
 
 template <typename T, typename Lin>
-void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                             const std::vector<Lin>& edge_lin, int l, int e_begin,
-                             int e_end) const {
+void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<Lin>& lin,
+                             int l, int e_begin, int e_end) const {
   // Fused edge side of block l for rows [e_begin, e_end): bipartite
   // aggregation gather (the coupled link-level step — it reads *all* path
   // rows of the block input, which is why blocks need a barrier), concat,
@@ -151,7 +140,7 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   // write lands in this slice's rows only.
   auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
   const int d = dims_[static_cast<std::size_t>(l)];
-  const auto& lin = edge_lin[static_cast<std::size_t>(l)];
+  const auto& e_lin = lin.edge[static_cast<std::size_t>(l)];
   const bool last = l + 1 >= cfg_.n_blocks;
   nn::BasicMat<T>* next_in =
       last ? nullptr : &fwd.blocks[static_cast<std::size_t>(l) + 1].edge_in;
@@ -160,7 +149,7 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
                     fwd.agg_e.row_ptr(e), d);
     concat_row(blk.edge_in, fwd.agg_e, e, blk.edge_cat);
   }
-  lin.forward_rows(blk.edge_cat, blk.edge_pre, e_begin, e_end);
+  e_lin.forward_rows(blk.edge_cat, blk.edge_pre, e_begin, e_end);
   nn::leaky_relu_forward_rows(blk.edge_pre, blk.edge_act, e_begin, e_end, cfg_.leaky_alpha);
   if (next_in != nullptr) {
     for (int e = e_begin; e < e_end; ++e) widen_row(blk.edge_act, fwd.edge_feat0, e, *next_in);
@@ -168,10 +157,8 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
 }
 
 template <typename T, typename Lin>
-void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                               const std::vector<Lin>& path_lin,
-                               const std::vector<Lin>& dnn_lin, int l, int d_begin,
-                               int d_end) const {
+void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<Lin>& lin,
+                               int l, int d_begin, int d_end) const {
   // Fused demand side of block l for demands [d_begin, d_end): per-path
   // aggregation/dense update, then the per-demand DNN layer, then widening
   // (or the final-embedding copy). Paths of a demand are contiguous, so the
@@ -179,8 +166,8 @@ void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
   const int d = dims_[static_cast<std::size_t>(l)];
   const int k = k_paths_;
-  const auto& p_lin = path_lin[static_cast<std::size_t>(l)];
-  const auto& dnn = dnn_lin[static_cast<std::size_t>(l)];
+  const auto& p_lin = lin.path[static_cast<std::size_t>(l)];
+  const auto& dnn = lin.dnn[static_cast<std::size_t>(l)];
   const bool last = l + 1 >= cfg_.n_blocks;
   nn::BasicMat<T>* next_in =
       last ? nullptr : &fwd.blocks[static_cast<std::size_t>(l) + 1].path_in;
@@ -231,9 +218,7 @@ template <typename T, typename Lin>
 void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ForwardT<T>& fwd,
                            const ShardPlan& shards, ShardStat* stats,
-                           const std::vector<Lin>& edge_lin,
-                           const std::vector<Lin>& path_lin,
-                           const std::vector<Lin>& dnn_lin) const {
+                           const Layers<Lin>& lin) const {
   const int ne = pb.graph().num_edges();
   const int np = pb.total_paths();
   const int nd = pb.num_demands();
@@ -299,12 +284,12 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
     // the pool — deterministic per row, so identical under any chunking.
     util::ThreadPool::global().parallel_chunks(
         static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e) {
-          edge_pass_rows(pb, fwd, edge_lin, l, static_cast<int>(b), static_cast<int>(e));
+          edge_pass_rows(pb, fwd, lin, l, static_cast<int>(b), static_cast<int>(e));
         });
     // Demand pass: fanned over the shard plan, each shard writing its own
     // demand slice of the shared workspace.
     run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
-      demand_pass_rows(pb, fwd, path_lin, dnn_lin, l, d0, d1);
+      demand_pass_rows(pb, fwd, lin, l, d0, d1);
     });
   }
 }
@@ -312,122 +297,24 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
 void FlowGnn::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                       const std::vector<double>* capacities, Forward& fwd,
                       const ShardPlan& shards, ShardStat* stats) const {
-  forward_impl(pb, tm, capacities, fwd, shards, stats, edge_linear_, path_linear_,
-               dnn_linear_);
-}
-
-void FlowGnn::forward_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                          const std::vector<double>* capacities, ForwardF& fwd,
-                          const ShardPlan& shards, ShardStat* stats) const {
-  if (!f32_ready()) {
-    throw std::logic_error(
-        "FlowGnn::forward_f32: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
-  }
-  forward_impl(pb, tm, capacities, fwd, shards, stats, edge_f32_, path_f32_, dnn_f32_);
-}
-
-void FlowGnn::forward_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                           const std::vector<double>* capacities, ForwardF& fwd,
-                           const ShardPlan& shards, ShardStat* stats) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "FlowGnn::forward_bf16: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
-  }
-  forward_impl(pb, tm, capacities, fwd, shards, stats, edge_bf16_, path_bf16_, dnn_bf16_);
+  forward_impl(pb, tm, capacities, fwd, shards, stats, lin_);
 }
 
 void FlowGnn::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                      const std::vector<double>* capacities, Forward& fwd) const {
-  forward(pb, tm, capacities, fwd,
-          ShardPlan::make(pb.num_demands(),
-                          auto_shard_count(pb.num_demands(), pb.total_paths())));
-}
-
-FlowGnn::Forward FlowGnn::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                  const std::vector<double>* capacities) const {
-  Forward fwd;
-  forward(pb, tm, capacities, fwd);
-  return fwd;
-}
-
-void FlowGnn::backward(const te::Problem& pb, const Forward& fwd,
-                       const nn::Mat& grad_final_paths) {
-  const int ne = pb.graph().num_edges();
-  const int np = pb.total_paths();
-  const int nd = pb.num_demands();
-  const int k = k_paths_;
-
-  nn::Mat g_path_out = grad_final_paths;            // d(loss)/d(block path_out)
-  nn::Mat g_edge_out(ne, dims_.back());             // last block's edge output unused
-
-  for (int l = cfg_.n_blocks - 1; l >= 0; --l) {
-    const auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
-    const int d = dims_[static_cast<std::size_t>(l)];
-
-    // --- DNN layer backward.
-    nn::Mat g_dnn_act(nd, k * d);
-    for (int dem = 0; dem < nd; ++dem) {
-      double* row = g_dnn_act.row_ptr(dem);
-      int slot = 0;
-      for (int p = pb.path_begin(dem); p < pb.path_end(dem); ++p, ++slot) {
-        std::copy(g_path_out.row_ptr(p), g_path_out.row_ptr(p) + d, row + slot * d);
-      }
-    }
-    nn::Mat g_dnn_pre, g_dnn_in;
-    nn::leaky_relu_backward(blk.dnn_pre, g_dnn_act, g_dnn_pre, cfg_.leaky_alpha);
-    dnn_linear_[static_cast<std::size_t>(l)].backward(blk.dnn_in, g_dnn_pre, g_dnn_in);
-    nn::Mat g_path_act(np, d);
-    for (int dem = 0; dem < nd; ++dem) {
-      const double* row = g_dnn_in.row_ptr(dem);
-      int slot = 0;
-      for (int p = pb.path_begin(dem); p < pb.path_end(dem); ++p, ++slot) {
-        std::copy(row + slot * d, row + (slot + 1) * d, g_path_act.row_ptr(p));
-      }
-    }
-
-    // --- GNN layer backward (edge and path updates are independent given the
-    // block inputs, because message passing is synchronous).
-    nn::Mat g_path_pre, g_path_cat;
-    nn::leaky_relu_backward(blk.path_pre, g_path_act, g_path_pre, cfg_.leaky_alpha);
-    path_linear_[static_cast<std::size_t>(l)].backward(blk.path_cat, g_path_pre, g_path_cat);
-
-    nn::Mat g_edge_pre, g_edge_cat;
-    nn::leaky_relu_backward(blk.edge_pre, g_edge_out, g_edge_pre, cfg_.leaky_alpha);
-    edge_linear_[static_cast<std::size_t>(l)].backward(blk.edge_cat, g_edge_pre, g_edge_cat);
-
-    // Split the concat grads: [self | agg].
-    nn::Mat g_path_in(np, d), g_edge_in(ne, d);
-    nn::Mat g_agg_edges(np, d);  // grad of aggregate_edges_to_paths output
-    for (int p = 0; p < np; ++p) {
-      const double* src = g_path_cat.row_ptr(p);
-      std::copy(src, src + d, g_path_in.row_ptr(p));
-      std::copy(src + d, src + 2 * d, g_agg_edges.row_ptr(p));
-    }
-    nn::Mat g_agg_paths(ne, d);  // grad of aggregate_paths_to_edges output
-    for (int e = 0; e < ne; ++e) {
-      const double* src = g_edge_cat.row_ptr(e);
-      std::copy(src, src + d, g_edge_in.row_ptr(e));
-      std::copy(src + d, src + 2 * d, g_agg_paths.row_ptr(e));
-    }
-    // Aggregation transposes.
-    scatter_grad_paths_from_edges(pb, g_agg_edges, g_edge_in);
-    scatter_grad_edges_from_paths(pb, g_agg_paths, g_path_in);
-
-    // --- Widening backward: the previous block's outputs are the leading
-    // columns of this block's inputs (appended init columns are constants).
-    if (l > 0) {
-      const int prev = dims_[static_cast<std::size_t>(l) - 1];
-      g_path_out = nn::Mat(np, prev);
-      for (int p = 0; p < np; ++p) {
-        std::copy(g_path_in.row_ptr(p), g_path_in.row_ptr(p) + prev, g_path_out.row_ptr(p));
-      }
-      g_edge_out = nn::Mat(ne, prev);
-      for (int e = 0; e < ne; ++e) {
-        std::copy(g_edge_in.row_ptr(e), g_edge_in.row_ptr(e) + prev, g_edge_out.row_ptr(e));
-      }
-    }
+                      const std::vector<double>* capacities, ForwardF& fwd, te::Precision p,
+                      const ShardPlan& shards, ShardStat* stats) const {
+  if (p == te::Precision::f64) {
+    throw std::invalid_argument("FlowGnn::forward: the narrowed forward needs f32 or bf16");
+  }
+  if (p == te::Precision::f32 ? f32_.edge.empty() : bf16_.edge.empty()) {
+    throw std::logic_error(std::string("FlowGnn::forward: prepare(") + te::precision_name(p) +
+                           ") has not been called (use te::Scheme::set_precision, which "
+                           "snapshots the weights)");
+  }
+  if (p == te::Precision::bf16) {
+    forward_impl(pb, tm, capacities, fwd, shards, stats, bf16_);
+  } else {
+    forward_impl(pb, tm, capacities, fwd, shards, stats, f32_);
   }
 }
 
@@ -441,7 +328,7 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
   const int np = pb.total_paths();
   const int nd = pb.num_demands();
   const int k = k_paths_;
-  const std::size_t n_layers = edge_linear_.size();
+  const std::size_t n_layers = lin_.edge.size();
   // (weight, bias) accumulator pair of layer l within a layer-kind block.
   auto pair_of = [&](std::size_t block, std::size_t l) {
     return std::pair<nn::Mat&, nn::Mat&>(*grads[(block * n_layers + l) * 2],
@@ -473,7 +360,7 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
     nn::leaky_relu_backward(blk.dnn_pre, ws.g_dnn_act, ws.g_dnn_pre, cfg_.leaky_alpha);
     {
       auto [gw, gb] = pair_of(2, ls);
-      dnn_linear_[ls].backward_acc(blk.dnn_in, ws.g_dnn_pre, ws.g_dnn_in, gw, gb);
+      lin_.dnn[ls].backward_acc(blk.dnn_in, ws.g_dnn_pre, ws.g_dnn_in, gw, gb);
     }
     ws.g_path_act.resize(np, d);
     ws.g_path_act.zero();
@@ -485,17 +372,17 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
       }
     }
 
-    // --- GNN layer backward (edge and path updates independent given the
-    // block inputs, exactly as in backward()).
+    // --- GNN layer backward (edge and path updates are independent given
+    // the block inputs, because message passing is synchronous).
     nn::leaky_relu_backward(blk.path_pre, ws.g_path_act, ws.g_path_pre, cfg_.leaky_alpha);
     {
       auto [gw, gb] = pair_of(1, ls);
-      path_linear_[ls].backward_acc(blk.path_cat, ws.g_path_pre, ws.g_path_cat, gw, gb);
+      lin_.path[ls].backward_acc(blk.path_cat, ws.g_path_pre, ws.g_path_cat, gw, gb);
     }
     nn::leaky_relu_backward(blk.edge_pre, ws.g_edge_out, ws.g_edge_pre, cfg_.leaky_alpha);
     {
       auto [gw, gb] = pair_of(0, ls);
-      edge_linear_[ls].backward_acc(blk.edge_cat, ws.g_edge_pre, ws.g_edge_cat, gw, gb);
+      lin_.edge[ls].backward_acc(blk.edge_cat, ws.g_edge_pre, ws.g_edge_cat, gw, gb);
     }
 
     // Split the concat grads: [self | agg].
@@ -543,9 +430,9 @@ std::vector<nn::Param*> FlowGnn::params() {
 }
 
 void FlowGnn::append_params(std::vector<nn::Param*>& out) {
-  for (auto& l : edge_linear_) l.append_params(out);
-  for (auto& l : path_linear_) l.append_params(out);
-  for (auto& l : dnn_linear_) l.append_params(out);
+  for (auto& l : lin_.edge) l.append_params(out);
+  for (auto& l : lin_.path) l.append_params(out);
+  for (auto& l : lin_.dnn) l.append_params(out);
 }
 
 }  // namespace teal::core

@@ -17,9 +17,12 @@
 // value (the expressiveness technique of Nair et al.); with the default 6
 // blocks the final embeddings have 6 elements.
 //
-// Everything is implemented with explicit forward caches and hand-written
-// backward passes — the model is small enough that a full autograd engine
-// would be pure overhead.
+// Everything is implemented with explicit forward caches and one
+// hand-written backward pass — the model is small enough that a full
+// autograd engine would be pure overhead. The module has one f64 forward
+// (demand-sharded, into a reusable workspace), one narrowed forward keyed by
+// te::Precision (f32 or bf16 weight panels, after prepare(p)), and one
+// backward (backward_ws, into caller-chosen gradient targets).
 #pragma once
 
 #include <vector>
@@ -27,6 +30,7 @@
 #include "core/shard.h"
 #include "nn/module.h"
 #include "te/problem.h"
+#include "te/scheme.h"
 
 namespace teal::core {
 
@@ -56,8 +60,7 @@ class FlowGnn {
   //
   // Precision-parameterized: ForwardT<double> (alias Forward) is the
   // reference/training cache, ForwardT<float> (alias ForwardF) the narrowed
-  // f32 inference mirror driven by forward_f32(). Only the f64 cache feeds
-  // backward().
+  // inference mirror. Only the f64 cache feeds backward_ws().
   template <typename T>
   struct ForwardT {
     // Per-block caches needed by backward.
@@ -83,68 +86,44 @@ class FlowGnn {
   using Forward = ForwardT<double>;
   using ForwardF = ForwardT<float>;
 
-  // Runs the GNN over the problem structure with the given per-interval
-  // inputs, writing into (and reusing) the caller-owned Forward workspace.
-  // `capacities` may override the graph's (link failures, §5.3).
-  // Uses an auto demand-shard plan (core::auto_shard_count).
-  void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-               const std::vector<double>* capacities, Forward& fwd) const;
-
-  // Sharded forward. Each block runs as two fused passes: an edge pass
-  // (per-edge aggregation + dense update, the coupled link-level step,
-  // parallelized over edge rows) and a demand pass fanned over `shards` —
-  // each shard runs the whole path/DNN pipeline for its demand slice
-  // [begin, end), writing disjoint rows of the shared Forward workspace.
-  // Results are bit-identical for every shard plan; `stats` (optional,
-  // shards.n_shards entries) accumulates per-shard busy time.
+  // The f64 forward: runs the GNN over the problem structure with the given
+  // per-interval inputs, writing into (and reusing) the caller-owned
+  // workspace. `capacities` may override the graph's (link failures, §5.3).
+  // Each block runs as two fused passes: an edge pass (per-edge aggregation +
+  // dense update, the coupled link-level step, parallelized over edge rows)
+  // and a demand pass fanned over `shards` — each shard runs the whole
+  // path/DNN pipeline for its demand slice [begin, end), writing disjoint
+  // rows of the shared Forward workspace. Results are bit-identical for every
+  // shard plan; `stats` (optional, shards.n_shards entries) accumulates
+  // per-shard busy time.
   void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                const std::vector<double>* capacities, Forward& fwd,
                const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // Convenience wrapper allocating a fresh Forward per call.
-  Forward forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                  const std::vector<double>* capacities = nullptr) const;
+  // The narrowed forward at precision `p` (f32 or bf16 weight panels; the
+  // activations and every accumulation are f32 either way) over the same
+  // pass structure and sharding contract, so any shard plan produces
+  // bit-identical narrowed results too. Mean-capacity normalization is
+  // computed in double and narrowed once, so only the per-row NN arithmetic
+  // changes precision. Throws std::invalid_argument for f64 and
+  // std::logic_error when prepare(p) has not run.
+  void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
+               const std::vector<double>* capacities, ForwardF& fwd, te::Precision p,
+               const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // Narrowed f32 inference forward over the same sharding contract as the
-  // sharded forward() above (identical pass structure; per-shard row writes
-  // stay disjoint, reductions sequential — so any shard plan produces
-  // bit-identical f32 results too). Requires prepare_f32(); throws
-  // std::logic_error otherwise. Mean-capacity normalization is computed in
-  // double and narrowed once, so only the per-row NN arithmetic changes
-  // precision.
-  void forward_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                   const std::vector<double>* capacities, ForwardF& fwd,
-                   const ShardPlan& shards, ShardStat* stats = nullptr) const;
+  // Snapshots the current parameters into the blocked weight panels the
+  // narrowed forward at `p` reads: f64 -> f32 round-to-nearest, and for bf16
+  // a further f32 -> bf16 round-to-nearest-even. No-op for f64. Not
+  // thread-safe against concurrent forwards; call before inference starts and
+  // re-call after any parameter update. Each precision keeps its own
+  // snapshot.
+  void prepare(te::Precision p);
 
-  // Snapshots the current parameters into blocked f32 mirrors for
-  // forward_f32(). Not thread-safe against concurrent forwards; call before
-  // inference starts and re-call after any parameter update.
-  void prepare_f32();
-  bool f32_ready() const { return !edge_f32_.empty(); }
-
-  // bf16-storage forward: same pass structure, sharding contract and f32
-  // activation arithmetic as forward_f32(), but the layer weights are read
-  // from bf16 panels (widened to f32 in the kernel inner loop). Requires
-  // prepare_bf16(); throws std::logic_error otherwise.
-  void forward_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                    const std::vector<double>* capacities, ForwardF& fwd,
-                    const ShardPlan& shards, ShardStat* stats = nullptr) const;
-
-  // Snapshots the current parameters into bf16-storage mirrors (f64 -> f32
-  // round-to-nearest, then f32 -> bf16 round-to-nearest-even). Same
-  // re-snapshot contract as prepare_f32().
-  void prepare_bf16();
-  bool bf16_ready() const { return !edge_bf16_.empty(); }
-
-  // Backpropagates `grad_final_paths` (same shape as Forward::final_paths),
-  // accumulating parameter gradients.
-  void backward(const te::Problem& pb, const Forward& fwd, const nn::Mat& grad_final_paths);
-
-  // Workspace backward for batched training: same arithmetic as backward(),
-  // with every per-block grad temporary owned by `ws` (allocation-free once
-  // warm) and the parameter grads accumulated into `grads` — num_params()
-  // entries in params() order — instead of Param::g. const: concurrent
-  // calls with distinct ws/grads are safe.
+  // Backpropagates `grad_final_paths` (same shape as Forward::final_paths).
+  // Every per-block grad temporary is owned by `ws` (allocation-free once
+  // warm) and the parameter grads accumulate into `grads` — num_params()
+  // entries in params() order (nn::grad_targets(params()) targets Param::g).
+  // const: concurrent calls with distinct ws/grads are safe.
   struct BackwardWs {
     nn::Mat g_path_out, g_edge_out;          // running output grads per block
     nn::Mat g_dnn_act, g_dnn_pre, g_dnn_in;  // DNN-layer backward
@@ -164,7 +143,7 @@ class FlowGnn {
   // Layout of params()/backward_ws grads: per layer-kind blocks of (weight,
   // bias) pairs — edge layers first, then path layers, then DNN layers.
   std::size_t num_params() const {
-    return (edge_linear_.size() + path_linear_.size() + dnn_linear_.size()) * 2;
+    return (lin_.edge.size() + lin_.path.size() + lin_.dnn.size()) * 2;
   }
 
   int final_dim() const { return dims_.empty() ? 0 : dims_.back(); }
@@ -174,27 +153,30 @@ class FlowGnn {
   int k_paths() const { return k_paths_; }
 
  private:
+  // One layer list per layer kind, indexed by block: edge-update, path-update
+  // (input 2d -> d) and DNN (k*d -> k*d). Lin is nn::Linear for the trained
+  // f64 parameters, a blocked nn::PackedLinear for the narrowed mirrors.
+  template <typename Lin>
+  struct Layers {
+    std::vector<Lin> edge, path, dnn;
+  };
+
   // Fused per-row passes of one block (see forward), generic over the
-  // element type T and the layer type Lin (nn::Linear for f64, a blocked
-  // nn::PackedLinear for the narrowed paths): the edge pass covers edge rows
+  // element type T and the layer type Lin: the edge pass covers edge rows
   // [e_begin, e_end), the demand pass covers demands [d_begin, d_end) —
   // aggregation gather, concat, dense update, activation and widening for
   // the slice, all reading only buffers stable during the block.
   template <typename T, typename Lin>
-  void edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                      const std::vector<Lin>& edge_lin, int l, int e_begin,
-                      int e_end) const;
+  void edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<Lin>& lin, int l,
+                      int e_begin, int e_end) const;
   template <typename T, typename Lin>
-  void demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                        const std::vector<Lin>& path_lin, const std::vector<Lin>& dnn_lin,
+  void demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<Lin>& lin,
                         int l, int d_begin, int d_end) const;
-  // Shared body of the f64 and f32 forwards.
+  // Shared body of the f64 and narrowed forwards.
   template <typename T, typename Lin>
   void forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
                     const std::vector<double>* capacities, ForwardT<T>& fwd,
-                    const ShardPlan& shards, ShardStat* stats,
-                    const std::vector<Lin>& edge_lin, const std::vector<Lin>& path_lin,
-                    const std::vector<Lin>& dnn_lin) const;
+                    const ShardPlan& shards, ShardStat* stats, const Layers<Lin>& lin) const;
 
   // Backward message-passing transposes.
   void scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& g_agg,
@@ -207,14 +189,12 @@ class FlowGnn {
   // Working dim per block: interpolated from 1 up to effective_final_dim by
   // widening (appending init-value columns) between blocks (§4).
   std::vector<int> dims_;
-  // Per block: edge-update, path-update (input 2d -> d) and DNN (k*d -> k*d).
-  std::vector<nn::Linear> edge_linear_, path_linear_, dnn_linear_;
+  Layers<nn::Linear> lin_;
   // Narrowed inference mirrors of the same layers, stored as lane-blocked
-  // panels (nn::PackedLinear) so the forward runs the broadcast-FMA kernel:
-  // f32 panels (empty until prepare_f32()) and bf16-storage panels (empty
-  // until prepare_bf16()).
-  std::vector<nn::LinearPackedF32> edge_f32_, path_f32_, dnn_f32_;
-  std::vector<nn::LinearBf16> edge_bf16_, path_bf16_, dnn_bf16_;
+  // panels so the forward runs the broadcast-FMA kernel: f32 panels and
+  // bf16-storage panels, each empty until prepare() at that precision.
+  Layers<nn::LinearPackedF32> f32_;
+  Layers<nn::LinearBf16> bf16_;
 };
 
 }  // namespace teal::core

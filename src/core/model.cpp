@@ -7,9 +7,9 @@ TealModel::TealModel(const TealModelConfig& cfg, int k_paths, std::uint64_t seed
       gnn_(cfg.gnn, k_paths, init_rng_),
       policy_(cfg.policy, k_paths * effective_final_dim(cfg.gnn), k_paths, init_rng_) {}
 
-void TealModel::run_pipeline(const te::Problem& pb, const te::TrafficMatrix& tm,
-                             const std::vector<double>* capacities, Forward& fwd,
-                             const ShardPlan& shards, ShardStat* stats) const {
+void TealModel::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
+                        const std::vector<double>* capacities, Forward& fwd,
+                        const ShardPlan& shards, ShardStat* stats) const {
   gnn_.forward(pb, tm, capacities, fwd.gnn, shards, stats);
   // Size the policy buffers on this thread, then run policy-input assembly
   // and the policy network as one fused per-demand pass.
@@ -23,96 +23,43 @@ void TealModel::run_pipeline(const te::Problem& pb, const te::TrafficMatrix& tm,
   });
 }
 
-void TealModel::prepare_f32() {
-  gnn_.prepare_f32();
-  policy_.prepare_f32();
+void TealModel::prepare(te::Precision p) {
+  gnn_.prepare(p);
+  policy_.prepare(p);
 }
 
-void TealModel::prepare_bf16() {
-  gnn_.prepare_bf16();
-  policy_.prepare_bf16();
-}
-
-void TealModel::forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                    const std::vector<double>* capacities, ModelForward& out,
-                                    const ShardPlan& shards, ShardStat* stats,
-                                    bool use_bf16) const {
+void TealModel::forward_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
+                                 const std::vector<double>* capacities, ModelForward& out,
+                                 te::Precision p, const ShardPlan& shards,
+                                 ShardStat* stats) const {
   // Same cache-reuse contract as forward_ws, under the narrowed owner tag (a
-  // narrowed cache is a ForwardF32; the f64 path must never reinterpret it).
+  // narrowed cache is a ForwardF; the f64 path must never reinterpret it).
   // f32 and bf16 share the cache: same type, every activation fully
   // rewritten per forward.
-  if (out.owner != &f32_owner_tag_ || out.cache == nullptr || out.cache.use_count() != 1) {
-    out.cache = std::make_shared<ForwardF32>();
-    out.owner = &f32_owner_tag_;
+  if (out.owner != &narrow_owner_tag_ || out.cache == nullptr || out.cache.use_count() != 1) {
+    out.cache = std::make_shared<ForwardF>();
+    out.owner = &narrow_owner_tag_;
   }
-  auto* typed = static_cast<ForwardF32*>(out.cache.get());
-  if (use_bf16) {
-    gnn_.forward_bf16(pb, tm, capacities, typed->gnn, shards, stats);
-  } else {
-    gnn_.forward_f32(pb, tm, capacities, typed->gnn, shards, stats);
-  }
+  auto* typed = static_cast<ForwardF*>(out.cache.get());
+  gnn_.forward(pb, tm, capacities, typed->gnn, p, shards, stats);
   // Fused per-demand tail: input assembly (float), policy forward (float),
   // and the logit widening back to the caller's f64 matrices — each shard
   // touches only its own demand rows, so the fan-out stays race-free.
   const int nd = pb.num_demands();
   typed->policy.input.resize(nd, k_ * typed->gnn.final_paths.cols());
   out.mask.resize(nd, k_);
-  if (use_bf16) {
-    policy_.prepare_forward_bf16(typed->policy);
-  } else {
-    policy_.prepare_forward(typed->policy);
-  }
+  policy_.prepare_forward(typed->policy, p);
   out.logits.resize(nd, k_);
   run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
     build_policy_input_rows(pb, typed->gnn.final_paths, k_, typed->policy.input, out.mask,
                             d0, d1);
-    if (use_bf16) {
-      policy_.forward_rows_bf16(typed->policy, d0, d1);
-    } else {
-      policy_.forward_rows(typed->policy, d0, d1);
-    }
+    policy_.forward_rows(typed->policy, p, d0, d1);
     for (int d = d0; d < d1; ++d) {
       const float* lr = typed->policy.logits.row_ptr(d);
       double* outr = out.logits.row_ptr(d);
       for (int c = 0; c < k_; ++c) outr[c] = static_cast<double>(lr[c]);
     }
   });
-}
-
-void TealModel::forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                               const std::vector<double>* capacities, ModelForward& out,
-                               const ShardPlan& shards, ShardStat* stats) const {
-  forward_ws_narrowed(pb, tm, capacities, out, shards, stats, /*use_bf16=*/false);
-}
-
-void TealModel::forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                const std::vector<double>* capacities, ModelForward& out,
-                                const ShardPlan& shards, ShardStat* stats) const {
-  forward_ws_narrowed(pb, tm, capacities, out, shards, stats, /*use_bf16=*/true);
-}
-
-void TealModel::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                        const std::vector<double>* capacities, Forward& fwd) const {
-  const int nd = pb.num_demands();
-  run_pipeline(pb, tm, capacities, fwd,
-               ShardPlan::make(nd, auto_shard_count(nd, pb.total_paths())));
-  fwd.logits = fwd.policy.logits;
-}
-
-TealModel::Forward TealModel::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                      const std::vector<double>* capacities) const {
-  Forward fwd;
-  forward(pb, tm, capacities, fwd);
-  return fwd;
-}
-
-void TealModel::backward(const te::Problem& pb, const Forward& fwd,
-                         const nn::Mat& grad_logits) {
-  nn::Mat grad_input;
-  policy_.backward(fwd.policy, grad_logits, grad_input);
-  nn::Mat grad_paths(pb.total_paths(), gnn_.final_dim());
-  scatter_policy_input_grad(pb, grad_input, k_, gnn_.final_dim(), grad_paths);
-  gnn_.backward(pb, fwd.gnn, grad_paths);
 }
 
 std::vector<nn::Param*> TealModel::params() {
@@ -125,12 +72,8 @@ std::vector<nn::Param*> TealModel::params() {
 
 ModelForward TealModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
                                   const std::vector<double>* capacities) const {
-  auto typed = std::make_shared<Forward>(forward(pb, tm, capacities));
   ModelForward out;
-  out.logits = typed->logits;
-  out.mask = typed->mask;
-  out.cache = typed;
-  out.owner = this;
+  forward_ws(pb, tm, capacities, out);
   return out;
 }
 
@@ -145,15 +88,13 @@ void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ModelForward& out,
                            const ShardPlan& shards, ShardStat* stats) const {
   // A shared cache (use_count > 1) must not be overwritten in place — another
-  // ModelForward may still need it for backward_m. Start fresh instead.
+  // ModelForward may still need it for backward. Start fresh instead.
   if (out.owner != this || out.cache == nullptr || out.cache.use_count() != 1) {
     out.cache = std::make_shared<Forward>();
     out.owner = this;
   }
   auto* typed = static_cast<Forward*>(out.cache.get());
-  // run_pipeline (not forward) to skip the typed-API Forward::logits copy:
-  // the solve path reads logits from the ModelForward only.
-  run_pipeline(pb, tm, capacities, *typed, shards, stats);
+  forward(pb, tm, capacities, *typed, shards, stats);
   out.logits = typed->policy.logits;  // capacity-reusing copies
   out.mask = typed->mask;
 }
@@ -161,8 +102,9 @@ void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
 void TealModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
                             const nn::Mat& grad_logits, TrainBackward& bws,
                             nn::GradRefs grads) const {
-  // Same cache-provenance contract as backward_m: only this model's f64
-  // forward cache can back-propagate.
+  // Only an f64 cache produced by this model can back-propagate: a narrowed
+  // cache (owner == &narrow_owner_tag_) has no double activations, and a
+  // cache from another model would be reinterpreted garbage.
   if (fwd.owner != this || fwd.cache == nullptr) {
     throw std::logic_error(
         "TealModel::backward_ws: forward cache was not produced by this model's "
@@ -188,15 +130,9 @@ void TealModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
 
 void TealModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
                            const nn::Mat& grad_logits) {
-  // Only an f64 cache produced by this model can back-propagate: an f32
-  // cache (owner == &f32_owner_tag_) has no double activations, and a cache
-  // from another model would be reinterpreted garbage.
-  if (fwd.owner != this || fwd.cache == nullptr) {
-    throw std::logic_error(
-        "TealModel::backward_m: forward cache was not produced by this model's "
-        "f64 forward path (narrowed f32/bf16 inference caches cannot back-propagate)");
-  }
-  backward(pb, *std::static_pointer_cast<Forward>(fwd.cache), grad_logits);
+  TrainBackward bws;
+  const std::vector<nn::Mat*> grads = nn::grad_targets(params());
+  backward_ws(pb, fwd, grad_logits, bws, grads);
 }
 
 nn::Mat splits_from_logits(const nn::Mat& logits, const nn::Mat& mask) {

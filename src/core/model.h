@@ -1,10 +1,17 @@
 // model.h — Teal's end-to-end "model": FlowGNN + shared policy network.
 //
 // This is the object that gets trained (per WAN topology and per TE
-// objective, §4) and later queried at deployment time. forward() produces a
+// objective, §4) and later queried at deployment time. A forward produces a
 // (D, k) matrix of policy logits plus the path-validity mask; turning logits
 // into split ratios (softmax, or Gaussian exploration during training) is the
 // trainer's/scheme's business.
+//
+// Layout: every module (FlowGnn, PolicyNet, TealModel) has one f64 forward
+// (the demand-sharded workspace forward), one narrowed forward keyed by
+// te::Precision (after prepare(p) snapshots the weights), and one backward
+// (backward_ws, which accumulates into caller-chosen gradient targets — the
+// per-rollout GradAccums of batched training, or Param::g itself behind the
+// Model::backward_m seam).
 #pragma once
 
 #include <memory>
@@ -42,8 +49,9 @@ struct TrainBackward {
   const void* owner = nullptr;
 };
 
-// Interface the trainers (COMA*, direct loss) operate on, so the same
-// training loop drives Teal and every ablation variant (§5.7).
+// Interface the trainers (COMA*, direct loss) and te::Scheme wrappers operate
+// on, so the same training loop drives Teal and every ablation variant
+// (§5.7).
 class Model {
  public:
   virtual ~Model() = default;
@@ -91,32 +99,25 @@ class Model {
         "(supports_train_ws() is false)");
   }
 
-  // Narrowed f32 inference forward (the paper's fp32 deployment precision):
-  // runs the NN arithmetic in float through f32 weight snapshots, widening
-  // logits/mask back to double in `fwd` so everything downstream (masked
-  // softmax, ADMM) is unchanged. prepare_f32() snapshots the current
-  // parameters; it must run before the first f32 forward and after any
-  // further training (not thread-safe against concurrent forwards).
-  // Defaults: unsupported — forward_ws_f32 falls back to the f64 path, so
-  // the precision knob degrades gracefully for the ablation variants.
-  virtual bool supports_f32_forward() const { return false; }
-  virtual void prepare_f32() {}
-  virtual void forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                              const std::vector<double>* capacities, ModelForward& fwd,
-                              const ShardPlan& shards, ShardStat* stats = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd, shards, stats);
-  }
-
-  // bf16-storage inference forward: same seam as the f32 trio, but the layer
-  // weights are stored as bf16 panels (activations and every accumulation
-  // stay f32, so the cache is the same float workspace as the f32 path).
-  // Defaults mirror f32: unsupported, graceful f64 fallback.
-  virtual bool supports_bf16_forward() const { return false; }
-  virtual void prepare_bf16() {}
-  virtual void forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                               const std::vector<double>* capacities, ModelForward& fwd,
-                               const ShardPlan& shards, ShardStat* stats = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd, shards, stats);
+  // Narrowed inference forward (the paper's fp32 deployment precision, plus
+  // bf16 weight storage): runs the NN arithmetic in float through weight
+  // snapshots, widening logits/mask back to double in `fwd` so everything
+  // downstream (masked softmax, ADMM) is unchanged. prepare(p) snapshots the
+  // current parameters at precision p; it must run before the first forward
+  // at p and after any further training (not thread-safe against concurrent
+  // forwards). A narrowed cache never back-propagates. Defaults: only f64 is
+  // supported (the ablation variants), so te::Scheme's precision knob ignores
+  // the narrowed settings and never calls forward_narrowed.
+  virtual bool supports_precision(te::Precision p) const { return p == te::Precision::f64; }
+  virtual void prepare(te::Precision /*p*/) {}
+  virtual void forward_narrowed(const te::Problem& /*pb*/, const te::TrafficMatrix& /*tm*/,
+                                const std::vector<double>* /*capacities*/,
+                                ModelForward& /*fwd*/, te::Precision /*p*/,
+                                const ShardPlan& /*shards*/,
+                                ShardStat* /*stats*/ = nullptr) const {
+    throw std::logic_error(
+        "Model::forward_narrowed: this model has no narrowed forward "
+        "(supports_precision() is false for f32/bf16)");
   }
 
   void save(const std::string& path) { nn::save_params(path, params()); }
@@ -132,27 +133,20 @@ class TealModel : public Model {
  public:
   TealModel(const TealModelConfig& cfg, int k_paths, std::uint64_t seed = 42);
 
+  // Typed f64 forward cache: the only cache backward_ws() accepts.
   struct Forward {
     FlowGnn::Forward gnn;
-    PolicyNet::Forward policy;
-    nn::Mat mask;    // (D, k) path validity
-    nn::Mat logits;  // (D, k), alias of policy.logits
+    PolicyNet::Forward policy;  // policy.logits holds the (D, k) logits
+    nn::Mat mask;               // (D, k) path validity
   };
 
-  // Narrowed inference caches (the float mirrors a SolveWorkspace grows when
+  // Narrowed inference cache (the float mirror a SolveWorkspace grows when
   // the solve runs at Precision::f32 *or* bf16 — bf16 narrows only the stored
-  // weights, so its activations live in the same float workspace). Never
-  // feeds backward().
-  struct ForwardF32 {
+  // weights, so its activations live in the same float workspace).
+  struct ForwardF {
     FlowGnn::ForwardF gnn;
     PolicyNet::ForwardF policy;
   };
-
-  Forward forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-                  const std::vector<double>* capacities = nullptr) const;
-
-  // Backward from d(loss)/d(logits) through the policy net and FlowGNN.
-  void backward(const te::Problem& pb, const Forward& fwd, const nn::Mat& grad_logits);
 
   // Typed cache behind the TrainBackward seam: the policy/GNN backward
   // workspaces plus the two inter-module grad matrices.
@@ -163,11 +157,16 @@ class TealModel : public Model {
     nn::Mat grad_paths;  // (N_p, dim) d(loss)/d(final path embeddings)
   };
 
-  // Workspace variant writing into (and reusing) a caller-owned Forward.
+  // The one f64 forward, into a caller-owned (reused) Forward. The FlowGNN
+  // demand passes, the policy-input assembly and the policy forward all fan
+  // out over `shards`; results are bit-identical for every plan.
   void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
-               const std::vector<double>* capacities, Forward& fwd) const;
+               const std::vector<double>* capacities, Forward& fwd,
+               const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // Model interface (type-erased wrappers over the typed forward/backward).
+  // Model interface. forward_m and the 4-argument forward_ws run forward()
+  // under the auto shard plan; backward_m runs backward_ws() with the
+  // parameters' own Param::g as the gradient targets.
   ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
                          const std::vector<double>* capacities = nullptr) const override;
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
@@ -175,16 +174,14 @@ class TealModel : public Model {
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities, ModelForward& fwd,
                   const ShardPlan& shards, ShardStat* stats = nullptr) const override;
-  bool supports_f32_forward() const override { return true; }
-  void prepare_f32() override;
-  void forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                      const std::vector<double>* capacities, ModelForward& fwd,
-                      const ShardPlan& shards, ShardStat* stats = nullptr) const override;
-  bool supports_bf16_forward() const override { return true; }
-  void prepare_bf16() override;
-  void forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                       const std::vector<double>* capacities, ModelForward& fwd,
-                       const ShardPlan& shards, ShardStat* stats = nullptr) const override;
+  bool supports_precision(te::Precision /*p*/) const override { return true; }
+  void prepare(te::Precision p) override;
+  // Throws std::invalid_argument for f64 (use forward_ws) and
+  // std::logic_error when prepare(p) has not run.
+  void forward_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
+                        const std::vector<double>* capacities, ModelForward& fwd,
+                        te::Precision p, const ShardPlan& shards,
+                        ShardStat* stats = nullptr) const override;
   void backward_m(const te::Problem& pb, const ModelForward& fwd,
                   const nn::Mat& grad_logits) override;
   bool supports_train_ws() const override { return true; }
@@ -197,34 +194,19 @@ class TealModel : public Model {
   const TealModelConfig& config() const { return cfg_; }
 
  private:
-  // Shared pipeline body; leaves Forward::logits (the typed-API alias of
-  // policy.logits) unset so forward_ws can skip that copy on the hot path.
-  // The FlowGNN demand passes, the policy-input assembly and the policy
-  // forward all fan out over `shards`.
-  void run_pipeline(const te::Problem& pb, const te::TrafficMatrix& tm,
-                    const std::vector<double>* capacities, Forward& fwd,
-                    const ShardPlan& shards, ShardStat* stats = nullptr) const;
-
-  // Shared body of forward_ws_f32/forward_ws_bf16: identical float cache,
-  // fused per-demand tail and f64 widening; only the weight panels the GNN
-  // and policy read differ.
-  void forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
-                           const std::vector<double>* capacities, ModelForward& fwd,
-                           const ShardPlan& shards, ShardStat* stats, bool use_bf16) const;
-
   TealModelConfig cfg_;
   int k_;
   util::Rng init_rng_;  // declared before the networks: it seeds their init
   FlowGnn gnn_;
   PolicyNet policy_;
   // ModelForward::owner tag for the narrowed caches: an f32 or bf16 cache
-  // holds a ForwardF32, not a Forward, so it must never be reinterpreted by
+  // holds a ForwardF, not a Forward, so it must never be reinterpreted by
   // the f64 path (and vice versa). f32 and bf16 share the tag deliberately —
   // their caches are the same type and every activation is fully rewritten
   // per forward, so switching between them reuses the buffers. Tagging with
   // this member's address instead of `this` keeps the narrow/f64 cache kinds
   // distinct per model instance.
-  char f32_owner_tag_ = 0;
+  char narrow_owner_tag_ = 0;
 };
 
 // Converts logits + mask into per-demand split ratios via masked softmax.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace teal::core {
 
@@ -14,18 +15,6 @@ PolicyNet::PolicyNet(const PolicyConfig& cfg, int in_dim, int k_paths, util::Rng
     cur = cfg.hidden_dim;
   }
   out_ = nn::Linear(cur, k_paths, rng);
-}
-
-void PolicyNet::forward(Forward& fwd) const {
-  const nn::Mat* cur = &fwd.input;
-  fwd.pre.resize(hidden_.size());
-  fwd.act.resize(hidden_.size());
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    hidden_[i].forward(*cur, fwd.pre[i]);
-    nn::leaky_relu_forward(fwd.pre[i], fwd.act[i], cfg_.leaky_alpha);
-    cur = &fwd.act[i];
-  }
-  out_.forward(*cur, fwd.logits);
 }
 
 template <typename T, typename Lin, typename Out>
@@ -62,75 +51,51 @@ void PolicyNet::forward_rows(Forward& fwd, int row_begin, int row_end) const {
   forward_rows_impl(fwd, hidden_, out_, row_begin, row_end);
 }
 
-void PolicyNet::prepare_f32() {
-  hidden_f32_.clear();
-  hidden_f32_.reserve(hidden_.size());
-  for (const auto& l : hidden_) hidden_f32_.push_back(l.snapshot_packed_f32());
-  out_f32_ = out_.snapshot_packed_f32();
-}
-
-void PolicyNet::prepare_bf16() {
-  hidden_bf16_.clear();
-  hidden_bf16_.reserve(hidden_.size());
-  for (const auto& l : hidden_) hidden_bf16_.push_back(l.snapshot_bf16());
-  out_bf16_ = out_.snapshot_bf16();
-}
-
-void PolicyNet::prepare_forward(ForwardF& fwd) const {
-  if (!f32_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+void PolicyNet::prepare(te::Precision p) {
+  auto snapshot = [this](auto& hidden, auto& out, auto snap) {
+    hidden.clear();
+    for (const auto& l : hidden_) hidden.push_back(snap(l));
+    out = snap(out_);
+  };
+  if (p == te::Precision::f32) {
+    snapshot(hidden_f32_, out_f32_, [](const nn::Linear& l) { return l.snapshot_packed_f32(); });
+  } else if (p == te::Precision::bf16) {
+    snapshot(hidden_bf16_, out_bf16_, [](const nn::Linear& l) { return l.snapshot_bf16(); });
   }
-  prepare_forward_impl(fwd, hidden_f32_, *out_f32_);
 }
 
-void PolicyNet::forward_rows(ForwardF& fwd, int row_begin, int row_end) const {
-  if (!f32_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+namespace {
+void check_narrowed(te::Precision p, bool ready) {
+  if (p == te::Precision::f64) {
+    throw std::invalid_argument("PolicyNet: the narrowed forward needs f32 or bf16");
   }
-  forward_rows_impl(fwd, hidden_f32_, *out_f32_, row_begin, row_end);
-}
-
-void PolicyNet::prepare_forward_bf16(ForwardF& fwd) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+  if (!ready) {
+    throw std::logic_error(std::string("PolicyNet: prepare(") + te::precision_name(p) +
+                           ") has not been called (use te::Scheme::set_precision, which "
+                           "snapshots the weights)");
   }
-  prepare_forward_impl(fwd, hidden_bf16_, *out_bf16_);
 }
+}  // namespace
 
-void PolicyNet::forward_rows_bf16(ForwardF& fwd, int row_begin, int row_end) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+void PolicyNet::prepare_forward(ForwardF& fwd, te::Precision p) const {
+  if (p == te::Precision::bf16) {
+    check_narrowed(p, out_bf16_.has_value());
+    prepare_forward_impl(fwd, hidden_bf16_, *out_bf16_);
+  } else {
+    check_narrowed(p, out_f32_.has_value());
+    prepare_forward_impl(fwd, hidden_f32_, *out_f32_);
   }
-  forward_rows_impl(fwd, hidden_bf16_, *out_bf16_, row_begin, row_end);
 }
 
-PolicyNet::Forward PolicyNet::forward(const nn::Mat& input) const {
-  Forward fwd;
-  fwd.input = input;
-  forward(fwd);
-  return fwd;
-}
-
-void PolicyNet::backward(const Forward& fwd, const nn::Mat& grad_logits, nn::Mat& grad_input) {
-  const nn::Mat* last = fwd.act.empty() ? &fwd.input : &fwd.act.back();
-  nn::Mat g_cur;
-  out_.backward(*last, grad_logits, g_cur);
-  for (int i = static_cast<int>(hidden_.size()) - 1; i >= 0; --i) {
-    nn::Mat g_pre;
-    nn::leaky_relu_backward(fwd.pre[static_cast<std::size_t>(i)], g_cur, g_pre,
-                            cfg_.leaky_alpha);
-    const nn::Mat* input = i == 0 ? &fwd.input : &fwd.act[static_cast<std::size_t>(i) - 1];
-    hidden_[static_cast<std::size_t>(i)].backward(*input, g_pre, g_cur);
+void PolicyNet::forward_rows(ForwardF& fwd, te::Precision p, int row_begin,
+                             int row_end) const {
+  if (p == te::Precision::bf16) {
+    check_narrowed(p, out_bf16_.has_value());
+    forward_rows_impl(fwd, hidden_bf16_, *out_bf16_, row_begin, row_end);
+  } else {
+    check_narrowed(p, out_f32_.has_value());
+    forward_rows_impl(fwd, hidden_f32_, *out_f32_, row_begin, row_end);
   }
-  grad_input = std::move(g_cur);
 }
 
 void PolicyNet::backward_ws(const Forward& fwd, const nn::Mat& grad_logits, BackwardWs& ws,

@@ -7,6 +7,11 @@
 // number of dense layers is configurable for the Figure 15c sensitivity
 // sweep. Because the network is per-demand, its parameter count is oblivious
 // to the WAN topology size — the property that makes learning tractable.
+//
+// Like FlowGnn, the module has one f64 forward (the demand-sharded
+// prepare_forward/forward_rows pair), one narrowed forward keyed by
+// te::Precision (the same pair over a float cache, after prepare(p)), and one
+// backward (backward_ws, into caller-chosen gradient targets).
 #pragma once
 
 #include <optional>
@@ -14,6 +19,7 @@
 
 #include "nn/module.h"
 #include "te/problem.h"
+#include "te/scheme.h"
 
 namespace teal::core {
 
@@ -28,10 +34,10 @@ class PolicyNet {
   // in_dim = k_paths * embedding_dim; out_dim = k_paths.
   PolicyNet(const PolicyConfig& cfg, int in_dim, int k_paths, util::Rng& rng);
 
-  // Doubles as a reusable workspace: repeated in-place forward() calls into
-  // the same object resize every Mat within its existing capacity.
+  // Doubles as a reusable workspace: repeated forwards into the same object
+  // resize every Mat within its existing capacity.
   // ForwardT<double> (alias Forward) is the reference/training cache;
-  // ForwardT<float> (alias ForwardF) the narrowed f32 inference mirror.
+  // ForwardT<float> (alias ForwardF) the narrowed inference mirror.
   template <typename T>
   struct ForwardT {
     nn::BasicMat<T> input;              // (D, in_dim)
@@ -42,53 +48,32 @@ class PolicyNet {
   using Forward = ForwardT<double>;
   using ForwardF = ForwardT<float>;
 
-  // In-place forward: reads fwd.input (which the caller fills, e.g. via
-  // build_policy_input), writes pre/act/logits. Allocation-free once warm.
-  void forward(Forward& fwd) const;
-
-  // Demand-sharded pair: prepare_forward() sizes pre/act/logits for the
-  // (already filled-shape) fwd.input — it must run on one thread before the
-  // fan-out, since nn::Mat::resize is not concurrency-safe — then each shard
-  // runs forward_rows() on its own demand slice, touching only those rows.
-  // Bit-identical to forward() for any row partition.
+  // The f64 forward, as a demand-sharded pair: prepare_forward() sizes
+  // pre/act/logits for the (already filled, e.g. via build_policy_input)
+  // fwd.input — it must run on one thread before the fan-out, since
+  // nn::Mat::resize is not concurrency-safe — then each shard runs
+  // forward_rows() on its own demand slice, touching only those rows.
+  // Bit-identical for any row partition; allocation-free once warm.
   void prepare_forward(Forward& fwd) const;
   void forward_rows(Forward& fwd, int row_begin, int row_end) const;
 
-  // Narrowed f32 inference pair over the same sharding contract. Requires
-  // prepare_f32() (throws std::logic_error otherwise — the te::Scheme
-  // precision knob snapshots the weights).
-  void prepare_forward(ForwardF& fwd) const;
-  void forward_rows(ForwardF& fwd, int row_begin, int row_end) const;
+  // The narrowed forward at precision `p` (f32 or bf16 weight panels, f32
+  // activations either way) over the same sharding contract. Throws
+  // std::invalid_argument for f64 and std::logic_error when prepare(p) has
+  // not run (te::Scheme::set_precision snapshots the weights).
+  void prepare_forward(ForwardF& fwd, te::Precision p) const;
+  void forward_rows(ForwardF& fwd, te::Precision p, int row_begin, int row_end) const;
 
-  // bf16-storage inference pair: identical pass structure and f32 activation
-  // arithmetic, but the layer weights are read from bf16 panels. Reuses the
-  // ForwardF cache type (activations are f32 either way). Requires
-  // prepare_bf16().
-  void prepare_forward_bf16(ForwardF& fwd) const;
-  void forward_rows_bf16(ForwardF& fwd, int row_begin, int row_end) const;
+  // Snapshots the current parameters into the blocked panels the narrowed
+  // forward at `p` reads (f64 -> f32 round-to-nearest, then for bf16
+  // f32 -> bf16 round-to-nearest-even). No-op for f64. Not thread-safe
+  // against concurrent forwards; re-call after any parameter update.
+  void prepare(te::Precision p);
 
-  // Snapshots the current parameters into blocked f32 mirrors. Not
-  // thread-safe against concurrent forwards; re-call after any parameter
-  // update.
-  void prepare_f32();
-  bool f32_ready() const { return out_f32_.has_value(); }
-
-  // Snapshots the current parameters into bf16-storage mirrors (f64 -> f32
-  // round-to-nearest, then f32 -> bf16 round-to-nearest-even).
-  void prepare_bf16();
-  bool bf16_ready() const { return out_bf16_.has_value(); }
-
-  // `input` rows are per-demand concatenated path embeddings (zero-padded for
-  // demands with fewer than k paths). Allocates a fresh Forward per call.
-  Forward forward(const nn::Mat& input) const;
-
-  // Backward from d(loss)/d(logits); writes d(loss)/d(input).
-  void backward(const Forward& fwd, const nn::Mat& grad_logits, nn::Mat& grad_input);
-
-  // Workspace backward for batched training: identical arithmetic to
-  // backward(), but the per-layer grad temporaries live in `ws` (warm calls
-  // allocate nothing) and the parameter grads accumulate into `grads` —
-  // num_params() entries in params() order — instead of Param::g. const:
+  // Backward from d(loss)/d(logits); writes d(loss)/d(input). The per-layer
+  // grad temporaries live in `ws` (warm calls allocate nothing) and the
+  // parameter grads accumulate into `grads` — num_params() entries in
+  // params() order (nn::grad_targets(params()) targets Param::g). const:
   // concurrent calls with distinct ws/grads are safe.
   struct BackwardWs {
     nn::Mat g_cur, g_pre;
@@ -106,7 +91,7 @@ class PolicyNet {
   int in_dim() const { return in_dim_; }
 
  private:
-  // Shared body of the f64/f32 prepare_forward and forward_rows pairs.
+  // Shared body of the f64 and narrowed prepare_forward/forward_rows pairs.
   template <typename T, typename Lin, typename Out>
   void prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
                             const Out& out) const;
@@ -118,8 +103,8 @@ class PolicyNet {
   int in_dim_, k_paths_;
   std::vector<nn::Linear> hidden_;
   nn::Linear out_;
-  // Narrowed inference mirrors, stored as lane-blocked panels: f32 (empty
-  // until prepare_f32()) and bf16 storage (empty until prepare_bf16()).
+  // Narrowed inference mirrors, stored as lane-blocked panels: f32 and bf16
+  // storage, each empty until prepare() at that precision.
   std::vector<nn::LinearPackedF32> hidden_f32_;
   std::optional<nn::LinearPackedF32> out_f32_;
   std::vector<nn::LinearBf16> hidden_bf16_;

@@ -40,7 +40,7 @@ struct SolveWorkspace {
   // Precision::f32 and Precision::bf16, which share it (bf16 narrows only
   // the model-side stored weights; its activations are the same f32
   // buffers). Its cache holds the model's f32 activations
-  // (TealModel::ForwardF32) while its logits/mask members are the double
+  // (TealModel::ForwardF) while its logits/mask members are the double
   // widenings the rest of the pipeline consumes. Only the precision actually
   // used grows warm buffers, so an f64-only workspace pays nothing for the
   // mirror.

@@ -6,6 +6,9 @@
 // count is independent of the traffic matrix *values* — the property behind
 // Teal's tightly clustered computation times in Figure 7a.
 //
+// The model forward runs once per solve: Model::forward_ws at f64, or
+// Model::forward_narrowed at the f32/bf16 precision knob.
+//
 // Every solve runs through a SolveWorkspace, so repeated solves on the same
 // problem are allocation-free, and solve_batch() fans independent matrices
 // out across the thread pool with one workspace per worker — the CPU
@@ -79,28 +82,23 @@ class TealScheme : public te::Scheme {
   int shard_count() const override { return shard_count_; }
 
   // Precision knob (te::Precision): f32 narrows the NN forward to float —
-  // through per-layer blocked weight snapshots taken here — while the masked
-  // softmax, the allocation writeback and the ADMM fine-tune stay double,
-  // mirroring the paper's fp32 GPU inference. bf16 additionally narrows the
-  // *stored* weights to bfloat16 (activations and accumulations stay f32).
-  // Snapshotting mutates the shared model, so set the precision before
-  // replicas/batches start and re-set it after any further training
+  // through per-layer blocked weight snapshots taken here by Model::prepare —
+  // while the masked softmax, the allocation writeback and the ADMM fine-tune
+  // stay double, mirroring the paper's fp32 GPU inference. bf16 additionally
+  // narrows the *stored* weights to bfloat16 (activations and accumulations
+  // stay f32). Snapshotting mutates the shared model, so set the precision
+  // before replicas/batches start and re-set it after any further training
   // (tests/precision_test.cpp bounds the f32- and bf16-vs-f64 allocation
-  // error per topology). Narrowed support follows the wrapped model: the
-  // Figure 14 ablation variants have no narrowed forward, and claiming
-  // support while silently solving in f64 would corrupt any narrowed-vs-f64
-  // comparison run against them.
+  // error per topology). Narrowed support follows the wrapped model
+  // (Model::supports_precision): the Figure 14 ablation variants have no
+  // narrowed forward, and claiming support while silently solving in f64
+  // would corrupt any narrowed-vs-f64 comparison run against them.
   bool supports_precision(te::Precision p) const override {
-    const ModelSnapshot snap = hub_.acquire();
-    if (p == te::Precision::f64) return true;
-    if (p == te::Precision::bf16) return snap.model->supports_bf16_forward();
-    return snap.model->supports_f32_forward();
+    return hub_.acquire().model->supports_precision(p);
   }
   void set_precision(te::Precision p) override {
     if (!supports_precision(p)) return;  // knob contract: unsupported = ignored
-    const ModelSnapshot snap = hub_.acquire();
-    if (p == te::Precision::f32) snap.model->prepare_f32();
-    if (p == te::Precision::bf16) snap.model->prepare_bf16();
+    hub_.acquire().model->prepare(p);
     precision_ = p;
   }
   te::Precision precision() const override { return precision_; }

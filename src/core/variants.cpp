@@ -291,7 +291,9 @@ ModelForward GlobalPolicyModel::forward_m(const te::Problem& pb, const te::Traff
     throw std::invalid_argument("GlobalPolicyModel: problem mismatch");
   }
   auto cache = std::make_shared<Cache>();
-  cache->gnn = gnn_.forward(pb, tm, capacities);
+  const int nd = pb.num_demands();
+  gnn_.forward(pb, tm, capacities, cache->gnn,
+               ShardPlan::make(nd, auto_shard_count(nd, total_paths_)));
   const int dim = effective_final_dim(cfg_.gnn);
   cache->flat = nn::Mat(1, total_paths_ * dim);
   for (int p = 0; p < total_paths_; ++p) {
@@ -336,7 +338,9 @@ void GlobalPolicyModel::backward_m(const te::Problem& pb, const ModelForward& fw
     const double* src = g_flat.row_ptr(0) + p * dim;
     std::copy(src, src + dim, g_paths.row_ptr(p));
   }
-  gnn_.backward(pb, cache.gnn, g_paths);
+  FlowGnn::BackwardWs ws;
+  const std::vector<nn::Mat*> grads = nn::grad_targets(gnn_.params());
+  gnn_.backward_ws(pb, cache.gnn, g_paths, ws, grads);
 }
 
 std::vector<nn::Param*> GlobalPolicyModel::params() {

@@ -1,6 +1,8 @@
 #include "nn/module.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -29,6 +31,13 @@ void Linear::backward(const Mat& x, const Mat& gy, Mat& gx) {
 
 void Linear::backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const {
   linear_backward(x, weight_.w, gy, gx, gw, gb.data());
+}
+
+std::vector<Mat*> grad_targets(const std::vector<Param*>& params) {
+  std::vector<Mat*> out;
+  out.reserve(params.size());
+  for (Param* p : params) out.push_back(&p->g);
+  return out;
 }
 
 void GradAccum::prepare(const std::vector<Param*>& params) {
@@ -143,36 +152,62 @@ constexpr std::uint64_t kMagic = 0x5445414C4D444Cull;  // "TEALMDL"
 }
 
 void save_params(const std::string& path, const std::vector<Param*>& params) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_params: cannot open " + path);
-  auto w64 = [&](std::uint64_t v) { f.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
-  w64(kMagic);
-  w64(static_cast<std::uint64_t>(params.size()));
-  for (const Param* p : params) {
-    w64(static_cast<std::uint64_t>(p->w.rows()));
-    w64(static_cast<std::uint64_t>(p->w.cols()));
-    f.write(reinterpret_cast<const char*>(p->w.data().data()),
-            static_cast<std::streamsize>(p->w.size() * sizeof(double)));
+  // Write-then-rename: a crash or a full disk mid-write never leaves a
+  // partial cache under `path`. The temp file sits in the same directory, so
+  // the rename stays on one filesystem (atomic on POSIX).
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f) throw std::runtime_error("save_params: cannot open " + tmp);
+    auto w64 = [&](std::uint64_t v) { f.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
+    w64(kMagic);
+    w64(static_cast<std::uint64_t>(params.size()));
+    for (const Param* p : params) {
+      w64(static_cast<std::uint64_t>(p->w.rows()));
+      w64(static_cast<std::uint64_t>(p->w.cols()));
+      f.write(reinterpret_cast<const char*>(p->w.data().data()),
+              static_cast<std::streamsize>(p->w.size() * sizeof(double)));
+    }
+    f.close();
+    if (!f) {
+      std::remove(tmp.c_str());
+      throw std::runtime_error("save_params: write failed for " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("save_params: cannot rename " + tmp + " to " + path);
   }
 }
 
 bool load_params(const std::string& path, const std::vector<Param*>& params) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
-  auto r64 = [&]() {
-    std::uint64_t v = 0;
-    f.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
+  auto r64 = [&](std::uint64_t& v) {
+    return static_cast<bool>(f.read(reinterpret_cast<char*>(&v), sizeof(v)));
   };
-  if (r64() != kMagic) return false;
-  if (r64() != params.size()) return false;
-  for (Param* p : params) {
-    auto rows = static_cast<int>(r64());
-    auto cols = static_cast<int>(r64());
-    if (rows != p->w.rows() || cols != p->w.cols()) return false;
-    f.read(reinterpret_cast<char*>(p->w.data().data()),
-           static_cast<std::streamsize>(p->w.size() * sizeof(double)));
-    if (!f) return false;
+  std::uint64_t magic = 0, count = 0;
+  if (!r64(magic) || magic != kMagic || !r64(count) || count != params.size()) return false;
+  // Parse the whole file into staging before touching any parameter: a
+  // truncated, mis-shaped or over-long file returns false with the
+  // parameters exactly as they were.
+  std::vector<std::vector<double>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Mat& w = params[i]->w;
+    std::uint64_t rows = 0, cols = 0;
+    if (!r64(rows) || !r64(cols) || rows != static_cast<std::uint64_t>(w.rows()) ||
+        cols != static_cast<std::uint64_t>(w.cols())) {
+      return false;
+    }
+    staged[i].resize(w.size());
+    if (!f.read(reinterpret_cast<char*>(staged[i].data()),
+                static_cast<std::streamsize>(w.size() * sizeof(double)))) {
+      return false;
+    }
+  }
+  if (f.peek() != std::ifstream::traits_type::eof()) return false;  // trailing bytes
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i]->w.data().begin());
   }
   return true;
 }

@@ -33,6 +33,10 @@ struct Param {
 // gradient set and reduce them in a fixed order afterwards.
 using GradRefs = std::span<Mat* const>;
 
+// The parameters' own Param::g, in order: the GradRefs target that makes a
+// workspace backward accumulate straight into the parameter gradients.
+std::vector<Mat*> grad_targets(const std::vector<Param*>& params);
+
 // One gradient accumulator per parameter, shaped like `params` and addressed
 // through refs(). Rollout workers accumulate into disjoint GradAccums
 // (commuting writes), then reduce_into() folds them into Param::g strictly
@@ -166,7 +170,11 @@ class Adam {
   std::int64_t t_ = 0;
 };
 
-// Binary serialization of a parameter list (shape-checked on load).
+// Binary serialization of a parameter list. save_params writes a temp file
+// next to `path` and renames it into place (throws on any I/O failure).
+// load_params is all-or-nothing: it returns false — with every parameter
+// unchanged — unless the file parses completely, every shape matches and no
+// bytes trail the last matrix.
 void save_params(const std::string& path, const std::vector<Param*>& params);
 bool load_params(const std::string& path, const std::vector<Param*>& params);
 

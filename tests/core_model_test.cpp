@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "core/model.h"
 #include "core/teal_scheme.h"
+#include "core/variants.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
 
@@ -31,13 +35,21 @@ te::TrafficMatrix tiny_tm() {
   return tm;
 }
 
+core::FlowGnn::Forward gnn_forward(const core::FlowGnn& gnn, const te::Problem& pb,
+                                   const te::TrafficMatrix& tm,
+                                   const std::vector<double>* caps = nullptr) {
+  core::FlowGnn::Forward fwd;
+  gnn.forward(pb, tm, caps, fwd, core::ShardPlan::sequential(pb.num_demands()));
+  return fwd;
+}
+
 TEST(FlowGnn, ForwardShapes) {
   auto pb = tiny_problem();
   util::Rng rng(1);
   core::FlowGnnConfig cfg;
   cfg.n_blocks = 6;
   core::FlowGnn gnn(cfg, 4, rng);
-  auto fwd = gnn.forward(pb, tiny_tm());
+  auto fwd = gnn_forward(gnn, pb, tiny_tm());
   EXPECT_EQ(fwd.final_paths.rows(), pb.total_paths());
   EXPECT_EQ(fwd.final_paths.cols(), 6);
   EXPECT_EQ(static_cast<int>(fwd.blocks.size()), 6);
@@ -52,10 +64,10 @@ TEST(FlowGnn, EmbeddingsDependOnDemandVolume) {
   util::Rng rng(1);
   core::FlowGnn gnn({}, 4, rng);
   auto tm1 = tiny_tm();
-  auto f1 = gnn.forward(pb, tm1);
+  auto f1 = gnn_forward(gnn, pb, tm1);
   auto tm2 = tiny_tm();
   tm2.volume[0] *= 3.0;
-  auto f2 = gnn.forward(pb, tm2);
+  auto f2 = gnn_forward(gnn, pb, tm2);
   double diff = 0.0;
   for (std::size_t i = 0; i < f1.final_paths.data().size(); ++i) {
     diff += std::abs(f1.final_paths.data()[i] - f2.final_paths.data()[i]);
@@ -68,9 +80,9 @@ TEST(FlowGnn, EmbeddingsDependOnCapacities) {
   util::Rng rng(1);
   core::FlowGnn gnn({}, 4, rng);
   auto caps = pb.capacities();
-  auto f1 = gnn.forward(pb, tiny_tm(), &caps);
+  auto f1 = gnn_forward(gnn, pb, tiny_tm(), &caps);
   caps[0] = 0.0;  // fail a link
-  auto f2 = gnn.forward(pb, tiny_tm(), &caps);
+  auto f2 = gnn_forward(gnn, pb, tiny_tm(), &caps);
   double diff = 0.0;
   for (std::size_t i = 0; i < f1.final_paths.data().size(); ++i) {
     diff += std::abs(f1.final_paths.data()[i] - f2.final_paths.data()[i]);
@@ -78,22 +90,16 @@ TEST(FlowGnn, EmbeddingsDependOnCapacities) {
   EXPECT_GT(diff, 1e-6);
 }
 
-TEST(TealModel, EndToEndGradCheck) {
-  // Full finite-difference check of d(loss)/d(theta) for a random linear
-  // loss on the logits, through policy net + FlowGNN.
-  auto pb = tiny_problem();
-  core::TealModelConfig cfg;
-  cfg.gnn.n_blocks = 3;  // smaller model keeps the check fast
-  cfg.policy.hidden_dim = 8;
-  core::TealModel model(cfg, pb.k_paths(), 7);
-  auto tm = tiny_tm();
-
+// Full finite-difference check of d(loss)/d(theta) for a random linear loss
+// on the logits, through the Model seam (forward_m / backward_m).
+void expect_gradients_match_finite_differences(core::Model& model, const te::Problem& pb,
+                                               const te::TrafficMatrix& tm) {
   util::Rng rng(3);
   nn::Mat coef(pb.num_demands(), pb.k_paths());
   for (auto& v : coef.data()) v = rng.normal();
 
   auto eval = [&] {
-    auto fwd = model.forward(pb, tm);
+    auto fwd = model.forward_m(pb, tm);
     double s = 0.0;
     for (std::size_t i = 0; i < fwd.logits.data().size(); ++i) {
       s += fwd.logits.data()[i] * coef.data()[i];
@@ -101,9 +107,9 @@ TEST(TealModel, EndToEndGradCheck) {
     return s;
   };
 
-  auto fwd = model.forward(pb, tm);
+  auto fwd = model.forward_m(pb, tm);
   for (auto* p : model.params()) p->zero_grad();
-  model.backward(pb, fwd, coef);
+  model.backward_m(pb, fwd, coef);
 
   const double eps = 1e-6;
   int checked = 0;
@@ -124,6 +130,27 @@ TEST(TealModel, EndToEndGradCheck) {
   EXPECT_GT(checked, 20);
 }
 
+TEST(TealModel, EndToEndGradCheck) {
+  // Through policy net + FlowGNN.
+  auto pb = tiny_problem();
+  core::TealModelConfig cfg;
+  cfg.gnn.n_blocks = 3;  // smaller model keeps the check fast
+  cfg.policy.hidden_dim = 8;
+  core::TealModel model(cfg, pb.k_paths(), 7);
+  expect_gradients_match_finite_differences(model, pb, tiny_tm());
+}
+
+TEST(GlobalPolicyModel, EndToEndGradCheck) {
+  // Through the giant policy layers and the FlowGNN backward they share with
+  // TealModel.
+  auto pb = tiny_problem();
+  core::GlobalPolicyConfig cfg;
+  cfg.gnn.n_blocks = 3;
+  cfg.hidden_dim = 8;
+  core::GlobalPolicyModel model(cfg, pb, 7);
+  expect_gradients_match_finite_differences(model, pb, tiny_tm());
+}
+
 TEST(TealModel, MaskZeroesMissingPaths) {
   // A demand pair with fewer than 4 simple paths must get zero splits there.
   topo::Graph g("line");
@@ -135,7 +162,7 @@ TEST(TealModel, MaskZeroesMissingPaths) {
   core::TealModel model({}, pb.k_paths(), 5);
   te::TrafficMatrix tm;
   tm.volume = {1.0};
-  auto fwd = model.forward(pb, tm);
+  auto fwd = model.forward_m(pb, tm);
   auto splits = core::splits_from_logits(fwd.logits, fwd.mask);
   EXPECT_NEAR(splits.at(0, 0), 1.0, 1e-12);
   for (int c = 1; c < 4; ++c) EXPECT_DOUBLE_EQ(splits.at(0, c), 0.0);
@@ -144,7 +171,7 @@ TEST(TealModel, MaskZeroesMissingPaths) {
 TEST(TealModel, SplitsFormValidAllocation) {
   auto pb = tiny_problem();
   core::TealModel model({}, pb.k_paths(), 11);
-  auto fwd = model.forward(pb, tiny_tm());
+  auto fwd = model.forward_m(pb, tiny_tm());
   auto splits = core::splits_from_logits(fwd.logits, fwd.mask);
   auto alloc = core::allocation_from_splits(pb, splits);
   EXPECT_NO_THROW(pb.validate_allocation(alloc));
@@ -165,11 +192,65 @@ TEST(TealModel, SaveLoadPreservesOutputs) {
   a.save(path);
   core::TealModel b({}, pb.k_paths(), 99);  // different init
   ASSERT_TRUE(b.load(path));
-  auto fa = a.forward(pb, tiny_tm());
-  auto fb = b.forward(pb, tiny_tm());
+  auto fa = a.forward_m(pb, tiny_tm());
+  auto fb = b.forward_m(pb, tiny_tm());
   for (std::size_t i = 0; i < fa.logits.data().size(); ++i) {
     EXPECT_DOUBLE_EQ(fa.logits.data()[i], fb.logits.data()[i]);
   }
+  std::filesystem::remove(path);
+}
+
+std::vector<std::vector<double>> param_values(core::Model& m) {
+  std::vector<std::vector<double>> out;
+  for (auto* p : m.params()) out.emplace_back(p->w.data().begin(), p->w.data().end());
+  return out;
+}
+
+TEST(TealModel, DamagedCacheLoadLeavesParamsUntouched) {
+  // load() is all-or-nothing: a truncated file, a shape mismatch past the
+  // first parameter and trailing garbage each return false with every
+  // parameter byte-identical to before the call.
+  auto pb = tiny_problem();
+  const auto path = (std::filesystem::temp_directory_path() / "teal_damaged_cache.bin").string();
+  core::TealModel({}, pb.k_paths(), 21).save(path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "save must rename its temp file";
+  std::string good;
+  {
+    std::ifstream f(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  auto write = [&](const std::string& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  core::TealModelConfig narrow_policy;
+  narrow_policy.policy.hidden_dim = 12;  // same param count, different policy shapes
+  std::string wrong_shape;
+  {
+    core::TealModel(narrow_policy, pb.k_paths(), 21).save(path);
+    std::ifstream f(path, std::ios::binary);
+    wrong_shape.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  const std::pair<const char*, std::string> damaged[] = {
+      {"truncated by 8 bytes", good.substr(0, good.size() - 8)},
+      {"wrong shape", wrong_shape},
+      {"7 trailing bytes", good + std::string(7, '\x5a')},
+  };
+  core::TealModel target({}, pb.k_paths(), 99);
+  const auto before = param_values(target);
+  for (const auto& [what, bytes] : damaged) {
+    write(bytes);
+    EXPECT_FALSE(target.load(path)) << what;
+    const auto after = param_values(target);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(after[i].data(), before[i].data(),
+                               before[i].size() * sizeof(double)))
+          << what << ": param " << i << " changed";
+    }
+  }
+  write(good);
+  EXPECT_TRUE(target.load(path));
   std::filesystem::remove(path);
 }
 
@@ -179,8 +260,10 @@ TEST(PolicyNet, LayerCountConfigurable) {
     core::PolicyConfig pc;
     pc.n_hidden_layers = layers;
     core::PolicyNet net(pc, 24, 4, rng);
-    nn::Mat x(5, 24, 0.1);
-    auto fwd = net.forward(x);
+    core::PolicyNet::Forward fwd;
+    fwd.input = nn::Mat(5, 24, 0.1);
+    net.prepare_forward(fwd);
+    net.forward_rows(fwd, 0, 5);
     EXPECT_EQ(fwd.logits.rows(), 5);
     EXPECT_EQ(fwd.logits.cols(), 4);
   }
@@ -244,8 +327,8 @@ TEST(FlowGnn, ComputationIndependentOfTrafficValues) {
   auto tm_small = tiny_tm();
   auto tm_large = tiny_tm();
   for (auto& v : tm_large.volume) v *= 1000.0;
-  auto f1 = gnn.forward(pb, tm_small);
-  auto f2 = gnn.forward(pb, tm_large);
+  auto f1 = gnn_forward(gnn, pb, tm_small);
+  auto f2 = gnn_forward(gnn, pb, tm_large);
   EXPECT_TRUE(f1.final_paths.same_shape(f2.final_paths));
 }
 

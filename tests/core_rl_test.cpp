@@ -109,7 +109,7 @@ TEST(TrainComa, ImprovesSatisfiedDemand) {
   core::TealModel model(mc, s.pb.k_paths(), 3);
 
   // Untrained performance on the last matrix.
-  auto before_fwd = model.forward(s.pb, s.trace.at(15));
+  auto before_fwd = model.forward_m(s.pb, s.trace.at(15));
   auto before = core::allocation_from_splits(
       s.pb, core::splits_from_logits(before_fwd.logits, before_fwd.mask));
   double before_pct = te::satisfied_demand_pct(s.pb, s.trace.at(15), before);
@@ -120,7 +120,7 @@ TEST(TrainComa, ImprovesSatisfiedDemand) {
   auto stats = core::train_coma(model, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
   ASSERT_EQ(static_cast<int>(stats.epoch_reward.size()), 10);
 
-  auto after_fwd = model.forward(s.pb, s.trace.at(15));
+  auto after_fwd = model.forward_m(s.pb, s.trace.at(15));
   auto after = core::allocation_from_splits(
       s.pb, core::splits_from_logits(after_fwd.logits, after_fwd.mask));
   double after_pct = te::satisfied_demand_pct(s.pb, s.trace.at(15), after);

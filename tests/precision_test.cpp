@@ -394,10 +394,12 @@ TEST(Precision, ForwardF32RequiresPreparedWeights) {
   core::TealModel model({}, inst.pb.k_paths(), 42);
   core::ModelForward fwd;
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  EXPECT_THROW(model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  model.prepare_f32();
-  EXPECT_NO_THROW(model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd, plan));
+  EXPECT_THROW(
+      model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::f32, plan),
+      std::logic_error);
+  model.prepare(te::Precision::f32);
+  EXPECT_NO_THROW(
+      model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::f32, plan));
 }
 
 TEST(Precision, ForwardBf16RequiresPreparedWeights) {
@@ -405,24 +407,27 @@ TEST(Precision, ForwardBf16RequiresPreparedWeights) {
   core::TealModel model({}, inst.pb.k_paths(), 42);
   core::ModelForward fwd;
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  EXPECT_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  // prepare_f32 alone is not enough — the bf16 snapshots are separate state.
-  model.prepare_f32();
-  EXPECT_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  model.prepare_bf16();
-  EXPECT_NO_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan));
+  EXPECT_THROW(
+      model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::bf16, plan),
+      std::logic_error);
+  // prepare(f32) alone is not enough — the bf16 snapshots are separate state.
+  model.prepare(te::Precision::f32);
+  EXPECT_THROW(
+      model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::bf16, plan),
+      std::logic_error);
+  model.prepare(te::Precision::bf16);
+  EXPECT_NO_THROW(
+      model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::bf16, plan));
 }
 
 TEST(Precision, F32LogitsTrackF64Logits) {
   auto inst = make_small("B4", 30);
   core::TealModel model({}, inst.pb.k_paths(), 42);
-  model.prepare_f32();
+  model.prepare(te::Precision::f32);
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
   core::ModelForward f64fwd, f32fwd;
   model.forward_ws(inst.pb, inst.tm, nullptr, f64fwd, plan);
-  model.forward_ws_f32(inst.pb, inst.tm, nullptr, f32fwd, plan);
+  model.forward_narrowed(inst.pb, inst.tm, nullptr, f32fwd, te::Precision::f32, plan);
   ASSERT_EQ(f32fwd.logits.rows(), f64fwd.logits.rows());
   ASSERT_EQ(f32fwd.logits.cols(), f64fwd.logits.cols());
   for (std::size_t i = 0; i < f64fwd.logits.data().size(); ++i) {
@@ -439,10 +444,10 @@ TEST(Precision, BackwardRejectsF32Cache) {
   // it would reinterpret garbage. The boundary throws instead.
   auto inst = make_small("B4", 30);
   core::TealModel model({}, inst.pb.k_paths(), 42);
-  model.prepare_f32();
+  model.prepare(te::Precision::f32);
   core::ModelForward fwd;
-  model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd,
-                       core::ShardPlan::sequential(inst.pb.num_demands()));
+  model.forward_narrowed(inst.pb, inst.tm, nullptr, fwd, te::Precision::f32,
+                         core::ShardPlan::sequential(inst.pb.num_demands()));
   nn::Mat grad(fwd.logits.rows(), fwd.logits.cols(), 1.0);
   EXPECT_THROW(model.backward_m(inst.pb, fwd, grad), std::logic_error);
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "core/direct_loss.h"
 #include "core/model.h"
 #include "core/reward.h"
+#include "core/teal_scheme.h"
 #include "core/train_context.h"
 #include "core/variants.h"
 #include "lp/path_lp.h"
@@ -353,6 +355,27 @@ TEST(TrainWorkspace, LegacyModelFallbackIsWorkerInvariant) {
   cfg.workers = 4;
   core::train_coma(model, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
   expect_params_bit_identical(model, baseline, "legacy fallback workers=4");
+}
+
+// A damaged model cache must not leak into training: train_or_load_model
+// starts from the seeded init exactly as if no cache existed.
+TEST(TrainWorkspace, TruncatedCacheTrainsLikeNoCache) {
+  auto s = topo_setup("B4", 20, 2);
+  core::TealTrainOptions opts;
+  opts.coma.epochs = 1;
+  auto fresh = make_model(s.pb);
+  core::train_or_load_model(fresh, s.pb, s.trace, te::Objective::kTotalFlow, opts);
+
+  // Cache of a differently seeded model, truncated by 8 bytes.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "teal_truncated_train_cache.bin").string();
+  core::TealModel(core::TealModelConfig{}, s.pb.k_paths(), /*seed=*/99).save(path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
+  auto cached = make_model(s.pb);
+  opts.cache_path = path;
+  core::train_or_load_model(cached, s.pb, s.trace, te::Objective::kTotalFlow, opts);
+  std::filesystem::remove(path);
+  expect_params_bit_identical(fresh, cached, "truncated cache vs no cache");
 }
 
 // Unit seam check: backward_acc accumulates the same values into external
