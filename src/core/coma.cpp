@@ -61,14 +61,24 @@ std::uint64_t coma_noise_seed(std::uint64_t seed, int epoch, int t, std::uint64_
 
 double evaluate_model(const Model& model, const te::Problem& pb,
                       const traffic::Trace& trace, te::Objective obj) {
-  double total = 0.0;
+  // The matrices fan out over the pool, one ModelForward per chunk; the
+  // per-matrix scores are summed in matrix order afterwards, so the result
+  // is bit-identical to a sequential loop for every pool size. Only the
+  // 4-argument forward_ws is called: the sharded overload is the trainer's.
   const std::vector<double> caps = pb.capacities();
-  for (int t = 0; t < trace.size(); ++t) {
-    const auto& tm = trace.at(t);
-    auto fwd = model.forward_m(pb, tm, &caps);
-    auto alloc = allocation_from_splits(pb, splits_from_logits(fwd.logits, fwd.mask));
-    total += te::objective_score(pb, tm, alloc, obj, &caps) / std::max(1e-9, tm.total());
-  }
+  std::vector<double> scores(static_cast<std::size_t>(trace.size()));
+  util::ThreadPool::global().parallel_chunks(
+      scores.size(), [&](std::size_t t0, std::size_t t1) {
+        ModelForward fwd;
+        for (std::size_t t = t0; t < t1; ++t) {
+          const auto& tm = trace.at(static_cast<int>(t));
+          model.forward_ws(pb, tm, &caps, fwd);
+          auto alloc = allocation_from_splits(pb, splits_from_logits(fwd.logits, fwd.mask));
+          scores[t] = te::objective_score(pb, tm, alloc, obj, &caps) / std::max(1e-9, tm.total());
+        }
+      });
+  double total = 0.0;
+  for (double s : scores) total += s;
   return total / std::max(1, trace.size());
 }
 

@@ -29,12 +29,18 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
         "(traffic::sample_demands) or lower k_paths");
   }
 
-  // Yen's algorithm per demand, parallelized (path precomputation is a
-  // one-time cost excluded from the computation-time metric, §5.1).
+  // Yen's algorithm per demand, parallelized with one reusable spur-search
+  // scratch per pool chunk (path precomputation is a one-time cost excluded
+  // from the computation-time metric, §5.1).
   std::vector<std::vector<topo::Path>> per_demand(demands.size());
-  util::ThreadPool::global().parallel_for(demands.size(), [&](std::size_t i) {
-    per_demand[i] = topo::yen_ksp(graph_, demands[i].src, demands[i].dst, k_paths);
-  });
+  util::ThreadPool::global().parallel_chunks(
+      demands.size(), [&](std::size_t i0, std::size_t i1) {
+        topo::KspScratch scratch;
+        for (std::size_t i = i0; i < i1; ++i) {
+          per_demand[i] =
+              topo::yen_ksp(graph_, demands[i].src, demands[i].dst, k_paths, scratch);
+        }
+      });
 
   path_offset_.push_back(0);
   for (std::size_t i = 0; i < demands.size(); ++i) {

@@ -9,69 +9,84 @@ namespace teal::topo {
 
 namespace {
 
-SsspResult dijkstra_impl(const Graph& g, NodeId src,
-                         const std::vector<char>* node_banned,
-                         const std::vector<char>* edge_banned) {
+// Starts a spur search: sizes the scratch to the graph and advances the
+// stamp, which invalidates every ban and distance of the previous search.
+// On wrap-around the stamp arrays are cleared once.
+void next_search(const Graph& g, KspScratch& s) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  SsspResult res;
-  res.dist.assign(n, kInf);
-  res.parent_edge.assign(n, kInvalidEdge);
-  if (node_banned && (*node_banned)[static_cast<std::size_t>(src)]) return res;
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  if (s.seen.size() != n || s.edge_ban.size() != m) {
+    s.dist.assign(n, kInf);
+    s.parent_edge.assign(n, kInvalidEdge);
+    s.seen.assign(n, 0);
+    s.node_ban.assign(n, 0);
+    s.edge_ban.assign(m, 0);
+    s.stamp = 0;
+  }
+  if (++s.stamp == 0) {
+    std::fill(s.seen.begin(), s.seen.end(), 0);
+    std::fill(s.node_ban.begin(), s.node_ban.end(), 0);
+    std::fill(s.edge_ban.begin(), s.edge_ban.end(), 0);
+    s.stamp = 1;
+  }
+}
 
-  using Item = std::pair<double, NodeId>;  // (dist, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  res.dist[static_cast<std::size_t>(src)] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > res.dist[static_cast<std::size_t>(v)]) continue;  // stale entry
+// Dijkstra from src under the current search's bans, stopped once dst is
+// settled: with non-negative latencies the settled node's distance and its
+// parent chain are final, so the path equals the one a full run extracts.
+// The heap is a vector driven by push_heap/pop_heap with std::greater<>,
+// the same pop order as std::priority_queue. Writes the src -> dst edges to
+// s.spur and returns false when dst is unreachable.
+bool spur_search(const Graph& g, NodeId src, NodeId dst, KspScratch& s) {
+  const std::uint32_t st = s.stamp;
+  const Edge* edges = g.edges().data();
+  s.spur.clear();
+  if (s.node_ban[static_cast<std::size_t>(src)] == st) return false;
+  s.heap.clear();
+  s.seen[static_cast<std::size_t>(src)] = st;
+  s.dist[static_cast<std::size_t>(src)] = 0.0;
+  s.parent_edge[static_cast<std::size_t>(src)] = kInvalidEdge;
+  s.heap.emplace_back(0.0, src);
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+    const auto [d, v] = s.heap.back();
+    s.heap.pop_back();
+    if (d > s.dist[static_cast<std::size_t>(v)]) continue;  // stale entry
+    if (v == dst) {
+      for (NodeId u = dst; u != src;) {
+        const EdgeId e = s.parent_edge[static_cast<std::size_t>(u)];
+        s.spur.push_back(e);
+        u = edges[e].src;
+      }
+      std::reverse(s.spur.begin(), s.spur.end());
+      return true;
+    }
     for (EdgeId e : g.out_edges(v)) {
-      if (edge_banned && (*edge_banned)[static_cast<std::size_t>(e)]) continue;
-      const Edge& ed = g.edge(e);
-      if (node_banned && (*node_banned)[static_cast<std::size_t>(ed.dst)]) continue;
-      double nd = d + ed.latency;
-      if (nd < res.dist[static_cast<std::size_t>(ed.dst)]) {
-        res.dist[static_cast<std::size_t>(ed.dst)] = nd;
-        res.parent_edge[static_cast<std::size_t>(ed.dst)] = e;
-        pq.emplace(nd, ed.dst);
+      if (s.edge_ban[static_cast<std::size_t>(e)] == st) continue;
+      const Edge& ed = edges[e];
+      const auto w = static_cast<std::size_t>(ed.dst);
+      if (s.node_ban[w] == st) continue;
+      const double nd = d + ed.latency;
+      if (nd < (s.seen[w] == st ? s.dist[w] : kInf)) {
+        s.seen[w] = st;
+        s.dist[w] = nd;
+        s.parent_edge[w] = e;
+        s.heap.emplace_back(nd, ed.dst);
+        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
       }
     }
   }
-  return res;
-}
-
-std::optional<Path> extract_path(const Graph& g, const SsspResult& sssp, NodeId src,
-                                 NodeId dst) {
-  if (sssp.dist[static_cast<std::size_t>(dst)] == kInf) return std::nullopt;
-  Path p;
-  NodeId v = dst;
-  while (v != src) {
-    EdgeId e = sssp.parent_edge[static_cast<std::size_t>(v)];
-    if (e == kInvalidEdge) return std::nullopt;
-    p.push_back(e);
-    v = g.edge(e).src;
-  }
-  std::reverse(p.begin(), p.end());
-  return p;
+  return false;
 }
 
 }  // namespace
 
-SsspResult dijkstra(const Graph& g, NodeId src) {
-  return dijkstra_impl(g, src, nullptr, nullptr);
-}
-
-SsspResult dijkstra_masked(const Graph& g, NodeId src,
-                           const std::vector<char>& node_banned,
-                           const std::vector<char>& edge_banned) {
-  return dijkstra_impl(g, src, &node_banned, &edge_banned);
-}
-
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst) {
   if (src == dst) return Path{};
-  auto sssp = dijkstra(g, src);
-  return extract_path(g, sssp, src, dst);
+  KspScratch scratch;
+  next_search(g, scratch);
+  if (!spur_search(g, src, dst, scratch)) return std::nullopt;
+  return std::move(scratch.spur);
 }
 
 double path_latency(const Graph& g, const Path& p) {
@@ -100,11 +115,17 @@ void validate_path(const Graph& g, const Path& p, NodeId src, NodeId dst) {
 }
 
 std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k) {
+  KspScratch scratch;
+  return yen_ksp(g, src, dst, k, scratch);
+}
+
+std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k,
+                          KspScratch& scratch) {
   std::vector<Path> result;
   if (k <= 0 || src == dst) return result;
-  auto first = shortest_path(g, src, dst);
-  if (!first) return result;
-  result.push_back(std::move(*first));
+  next_search(g, scratch);
+  if (!spur_search(g, src, dst, scratch)) return result;
+  result.push_back(scratch.spur);
 
   struct Candidate {
     double cost;
@@ -118,39 +139,35 @@ std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k) {
   std::set<Path> seen;  // paths already produced or enqueued
   seen.insert(result[0]);
 
-  std::vector<char> node_banned(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::vector<char> edge_banned(static_cast<std::size_t>(g.num_edges()), 0);
-
+  const Edge* edges = g.edges().data();
+  std::vector<NodeId> prev_nodes;
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
     // Node sequence of the previous path: spur nodes are prev[0..len-1].src.
-    std::vector<NodeId> prev_nodes;
-    prev_nodes.push_back(src);
-    for (EdgeId e : prev) prev_nodes.push_back(g.edge(e).dst);
+    prev_nodes.assign(1, src);
+    for (EdgeId e : prev) prev_nodes.push_back(edges[e].dst);
 
     for (std::size_t i = 0; i < prev.size(); ++i) {
       NodeId spur = prev_nodes[i];
-      // Root path: prev[0..i)
-      std::fill(node_banned.begin(), node_banned.end(), 0);
-      std::fill(edge_banned.begin(), edge_banned.end(), 0);
+      // Root path: prev[0..i). A fresh stamp lifts every earlier ban.
+      next_search(g, scratch);
+      const std::uint32_t st = scratch.stamp;
       // Ban edges that would duplicate an already-known path sharing this root.
       for (const Path& p : result) {
         if (p.size() >= i && std::equal(p.begin(), p.begin() + static_cast<long>(i),
                                         prev.begin())) {
-          if (p.size() > i) edge_banned[static_cast<std::size_t>(p[i])] = 1;
+          if (p.size() > i) scratch.edge_ban[static_cast<std::size_t>(p[i])] = st;
         }
       }
       // Ban root-path nodes (except the spur node) to keep paths simple.
       for (std::size_t j = 0; j < i; ++j) {
-        node_banned[static_cast<std::size_t>(prev_nodes[j])] = 1;
+        scratch.node_ban[static_cast<std::size_t>(prev_nodes[j])] = st;
       }
 
-      auto sssp = dijkstra_masked(g, spur, node_banned, edge_banned);
-      auto spur_path = extract_path(g, sssp, spur, dst);
-      if (!spur_path) continue;
+      if (!spur_search(g, spur, dst, scratch)) continue;
 
       Path total(prev.begin(), prev.begin() + static_cast<long>(i));
-      total.insert(total.end(), spur_path->begin(), spur_path->end());
+      total.insert(total.end(), scratch.spur.begin(), scratch.spur.end());
       if (seen.insert(total).second) {
         candidates.push(Candidate{path_latency(g, total), std::move(total)});
       }

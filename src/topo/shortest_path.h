@@ -7,8 +7,10 @@
 // source to destination.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "topo/graph.h"
@@ -19,28 +21,32 @@ using Path = std::vector<EdgeId>;
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Single-source Dijkstra over edge latencies. Returns per-node distance and
-// the incoming edge on the shortest-path tree (kInvalidEdge for unreachable
-// nodes and the source).
-struct SsspResult {
+// Shortest path src -> dst over edge latencies (Dijkstra), or nullopt if
+// unreachable.
+std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst);
+
+// Reusable state of yen_ksp's spur searches, sized to the graph on first
+// use. A spur search bans root-path nodes and deviation edges by writing the
+// search's stamp into node_ban/edge_ban, and marks dist/parent entries valid
+// by stamping `seen`, so no per-spur clearing of O(V + E) arrays is needed.
+// One scratch per thread; reuse it across calls on the same graph.
+struct KspScratch {
   std::vector<double> dist;
   std::vector<EdgeId> parent_edge;
+  std::vector<std::uint32_t> seen;
+  std::vector<std::uint32_t> node_ban;
+  std::vector<std::uint32_t> edge_ban;
+  std::vector<std::pair<double, NodeId>> heap;  // (dist, node) min-heap
+  Path spur;
+  std::uint32_t stamp = 0;
 };
-SsspResult dijkstra(const Graph& g, NodeId src);
-
-// Dijkstra with masked nodes/edges — the spur computation in Yen's algorithm
-// removes root-path nodes and previously used deviation edges.
-SsspResult dijkstra_masked(const Graph& g, NodeId src,
-                           const std::vector<char>& node_banned,
-                           const std::vector<char>& edge_banned);
-
-// Shortest path src -> dst, or nullopt if unreachable.
-std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst);
 
 // Yen's algorithm: up to k loop-free shortest paths in nondecreasing latency
 // order. Returns fewer than k paths when the graph does not contain k
-// distinct simple paths.
+// distinct simple paths. Each spur search stops once dst is settled.
 std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k);
+std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k,
+                          KspScratch& scratch);
 
 // Hop-count single-source BFS distances (used for Table 3 statistics, which
 // report hop-based shortest-path length and diameter).

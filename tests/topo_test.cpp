@@ -2,12 +2,18 @@
 // generators (Table 1 counts), statistics (Table 3 / Fig 17).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <set>
 
+#include "te/problem.h"
 #include "topo/graph.h"
 #include "topo/shortest_path.h"
 #include "topo/topo_stats.h"
 #include "topo/topology.h"
+#include "traffic/traffic.h"
 
 namespace teal {
 namespace {
@@ -153,6 +159,182 @@ TEST(Yen, PathsAreSimple) {
   for (const auto& p : paths) {
     EXPECT_NO_THROW(topo::validate_path(g, p, 0, g.num_nodes() - 1));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Frozen reference: Yen's algorithm as it was before the reusable spur
+// scratch — a full masked Dijkstra per spur over std::priority_queue, with
+// both ban masks cleared per spur. Copied verbatim (renamed into this
+// namespace); yen_ksp and te::Problem must reproduce its paths exactly.
+namespace frozen {
+
+struct SsspResult {
+  std::vector<double> dist;
+  std::vector<topo::EdgeId> parent_edge;
+};
+
+SsspResult dijkstra_impl(const topo::Graph& g, topo::NodeId src,
+                               const std::vector<char>* node_banned,
+                               const std::vector<char>* edge_banned) {
+  using namespace topo;
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  SsspResult res;
+  res.dist.assign(n, kInf);
+  res.parent_edge.assign(n, kInvalidEdge);
+  if (node_banned && (*node_banned)[static_cast<std::size_t>(src)]) return res;
+
+  using Item = std::pair<double, NodeId>;  // (dist, node)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  res.dist[static_cast<std::size_t>(src)] = 0.0;
+  pq.emplace(0.0, src);
+  while (!pq.empty()) {
+    auto [d, v] = pq.top();
+    pq.pop();
+    if (d > res.dist[static_cast<std::size_t>(v)]) continue;  // stale entry
+    for (EdgeId e : g.out_edges(v)) {
+      if (edge_banned && (*edge_banned)[static_cast<std::size_t>(e)]) continue;
+      const Edge& ed = g.edge(e);
+      if (node_banned && (*node_banned)[static_cast<std::size_t>(ed.dst)]) continue;
+      double nd = d + ed.latency;
+      if (nd < res.dist[static_cast<std::size_t>(ed.dst)]) {
+        res.dist[static_cast<std::size_t>(ed.dst)] = nd;
+        res.parent_edge[static_cast<std::size_t>(ed.dst)] = e;
+        pq.emplace(nd, ed.dst);
+      }
+    }
+  }
+  return res;
+}
+
+std::optional<topo::Path> extract_path(const topo::Graph& g, const SsspResult& sssp,
+                                       topo::NodeId src, topo::NodeId dst) {
+  using namespace topo;
+  if (sssp.dist[static_cast<std::size_t>(dst)] == kInf) return std::nullopt;
+  Path p;
+  NodeId v = dst;
+  while (v != src) {
+    EdgeId e = sssp.parent_edge[static_cast<std::size_t>(v)];
+    if (e == kInvalidEdge) return std::nullopt;
+    p.push_back(e);
+    v = g.edge(e).src;
+  }
+  std::reverse(p.begin(), p.end());
+  return p;
+}
+
+std::vector<topo::Path> yen_ksp(const topo::Graph& g, topo::NodeId src, topo::NodeId dst,
+                                int k) {
+  using namespace topo;
+  std::vector<Path> result;
+  if (k <= 0 || src == dst) return result;
+  auto first = extract_path(g, dijkstra_impl(g, src, nullptr, nullptr), src, dst);
+  if (!first) return result;
+  result.push_back(std::move(*first));
+
+  struct Candidate {
+    double cost;
+    Path path;
+    bool operator>(const Candidate& o) const {
+      if (cost != o.cost) return cost > o.cost;
+      return path > o.path;  // deterministic tiebreak
+    }
+  };
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> candidates;
+  std::set<Path> seen;  // paths already produced or enqueued
+  seen.insert(result[0]);
+
+  std::vector<char> node_banned(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<char> edge_banned(static_cast<std::size_t>(g.num_edges()), 0);
+
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+    // Node sequence of the previous path: spur nodes are prev[0..len-1].src.
+    std::vector<NodeId> prev_nodes;
+    prev_nodes.push_back(src);
+    for (EdgeId e : prev) prev_nodes.push_back(g.edge(e).dst);
+
+    for (std::size_t i = 0; i < prev.size(); ++i) {
+      NodeId spur = prev_nodes[i];
+      // Root path: prev[0..i)
+      std::fill(node_banned.begin(), node_banned.end(), 0);
+      std::fill(edge_banned.begin(), edge_banned.end(), 0);
+      // Ban edges that would duplicate an already-known path sharing this root.
+      for (const Path& p : result) {
+        if (p.size() >= i && std::equal(p.begin(), p.begin() + static_cast<long>(i),
+                                        prev.begin())) {
+          if (p.size() > i) edge_banned[static_cast<std::size_t>(p[i])] = 1;
+        }
+      }
+      // Ban root-path nodes (except the spur node) to keep paths simple.
+      for (std::size_t j = 0; j < i; ++j) {
+        node_banned[static_cast<std::size_t>(prev_nodes[j])] = 1;
+      }
+
+      auto sssp = dijkstra_impl(g, spur, &node_banned, &edge_banned);
+      auto spur_path = extract_path(g, sssp, spur, dst);
+      if (!spur_path) continue;
+
+      Path total(prev.begin(), prev.begin() + static_cast<long>(i));
+      total.insert(total.end(), spur_path->begin(), spur_path->end());
+      if (seen.insert(total).second) {
+        candidates.push(Candidate{path_latency(g, total), std::move(total)});
+      }
+    }
+
+    if (candidates.empty()) break;
+    result.push_back(candidates.top().path);
+    candidates.pop();
+  }
+  return result;
+}
+
+}  // namespace frozen
+
+// Paths of every demand, through both yen_ksp entries (fresh scratch per
+// call, and one scratch shared across all calls in order) and te::Problem's
+// per-chunk scratch, must equal the frozen reference element for element.
+void expect_ksp_matches_frozen(const topo::Graph& g, const std::vector<te::Demand>& demands,
+                               int k) {
+  topo::KspScratch shared;
+  te::Problem pb(g, demands, k);
+  int d = 0;
+  for (const te::Demand& dm : demands) {
+    const auto want = frozen::yen_ksp(g, dm.src, dm.dst, k);
+    ASSERT_EQ(topo::yen_ksp(g, dm.src, dm.dst, k), want) << dm.src << "->" << dm.dst;
+    ASSERT_EQ(topo::yen_ksp(g, dm.src, dm.dst, k, shared), want) << dm.src << "->" << dm.dst;
+    if (want.empty()) continue;  // te::Problem drops unreachable pairs
+    ASSERT_EQ(pb.demands()[static_cast<std::size_t>(d)].src, dm.src);
+    ASSERT_EQ(pb.num_paths(d), static_cast<int>(want.size()));
+    for (int i = 0; i < pb.num_paths(d); ++i) {
+      ASSERT_EQ(pb.path_edges(pb.path_begin(d) + i), want[static_cast<std::size_t>(i)])
+          << "demand " << d << " path " << i;
+    }
+    ++d;
+  }
+  EXPECT_EQ(d, pb.num_demands());
+}
+
+// Unit latencies on a grid: nearly every spur search meets equal-distance
+// ties, so any change to the heap's pop order or to early termination would
+// pick a different (equally short) path.
+TEST(Yen, MatchesFrozenReferenceOnUnitGrid) {
+  constexpr int kSide = 6;
+  topo::Graph g;
+  g.add_nodes(kSide * kSide);
+  auto id = [](int r, int c) { return r * kSide + c; };
+  for (int r = 0; r < kSide; ++r) {
+    for (int c = 0; c < kSide; ++c) {
+      if (c + 1 < kSide) g.add_link(id(r, c), id(r, c + 1), 1.0, 1.0);
+      if (r + 1 < kSide) g.add_link(id(r, c), id(r + 1, c), 1.0, 1.0);
+    }
+  }
+  g.add_edge(id(0, 0), id(kSide - 1, kSide - 1), 1.0, 0.0);  // a zero-latency shortcut
+  expect_ksp_matches_frozen(g, te::all_pairs_demands(g), 8);
+}
+
+TEST(Yen, MatchesFrozenReferenceOnAsnSample) {
+  auto g = topo::make_topology("ASN", 1);
+  expect_ksp_matches_frozen(g, traffic::sample_demands(g, 200, 2), 4);
 }
 
 TEST(Topologies, Table1Counts) {

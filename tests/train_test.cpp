@@ -16,6 +16,7 @@
 //      measured by the trainers themselves via util::alloc_hook).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -35,6 +36,7 @@
 #include "traffic/traffic.h"
 #include "util/alloc_hook.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace teal {
 namespace {
@@ -427,6 +429,95 @@ TEST(TrainWorkspace, GradAccumReduceMatchesDirect) {
                           refs[i]->size() * sizeof(double)),
               0);
   }
+}
+
+// Validation fans its matrices over the pool (one ModelForward per chunk)
+// and sums the per-matrix scores in matrix order: with more matrices than
+// pool threads it must equal a sequential loop bit for bit.
+TEST(TrainValidation, EvaluateModelMatchesSequentialSum) {
+  const int n_val = 2 * static_cast<int>(util::ThreadPool::global().size()) + 3;
+  auto s = topo_setup("B4", 120, n_val);
+  auto model = make_model(s.pb);
+  const std::vector<double> caps = s.pb.capacities();
+  for (te::Objective obj : {te::Objective::kTotalFlow, te::Objective::kMinMaxLinkUtil}) {
+    double total = 0.0;
+    for (int t = 0; t < s.trace.size(); ++t) {
+      const auto& tm = s.trace.at(t);
+      auto fwd = model.forward_m(s.pb, tm, &caps);
+      auto alloc =
+          core::allocation_from_splits(s.pb, core::splits_from_logits(fwd.logits, fwd.mask));
+      total += te::objective_score(s.pb, tm, alloc, obj, &caps) / std::max(1e-9, tm.total());
+    }
+    const double want = total / s.trace.size();
+    const double got = core::evaluate_model(model, s.pb, s.trace, obj);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "objective " << static_cast<int>(obj) << ": " << got << " vs " << want;
+  }
+}
+
+// Forwards every call to a TealModel and counts the two forward_ws entries:
+// the sharded overload is the trainer's rollout forward, the 4-argument one
+// is what validation may use.
+class ForwardCounter final : public core::Model {
+ public:
+  explicit ForwardCounter(core::Model& inner) : inner_(inner) {}
+  core::ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
+                               const std::vector<double>* caps) const override {
+    return inner_.forward_m(pb, tm, caps);
+  }
+  void backward_m(const te::Problem& pb, const core::ModelForward& fwd,
+                  const nn::Mat& grad_logits) override {
+    inner_.backward_m(pb, fwd, grad_logits);
+  }
+  std::vector<nn::Param*> params() override { return inner_.params(); }
+  int k_paths() const override { return inner_.k_paths(); }
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* caps, core::ModelForward& fwd) const override {
+    plain_.fetch_add(1, std::memory_order_relaxed);
+    inner_.forward_ws(pb, tm, caps, fwd);
+  }
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* caps, core::ModelForward& fwd,
+                  const core::ShardPlan& shards, core::ShardStat* stats) const override {
+    sharded_.fetch_add(1, std::memory_order_relaxed);
+    inner_.forward_ws(pb, tm, caps, fwd, shards, stats);
+  }
+  bool supports_train_ws() const override { return inner_.supports_train_ws(); }
+  void backward_ws(const te::Problem& pb, const core::ModelForward& fwd,
+                   const nn::Mat& grad_logits, core::TrainBackward& bws,
+                   nn::GradRefs grads) const override {
+    inner_.backward_ws(pb, fwd, grad_logits, bws, grads);
+  }
+
+  long sharded() const { return sharded_.load(); }
+  long plain() const { return plain_.load(); }
+
+ private:
+  core::Model& inner_;
+  mutable std::atomic<long> sharded_{0};
+  mutable std::atomic<long> plain_{0};
+};
+
+// A validated training run makes exactly epochs x train.size() sharded
+// forwards: validation never uses that overload.
+TEST(TrainValidation, ValidatedComaCountsOnlyRolloutForwards) {
+  const int n_val = 2 * static_cast<int>(util::ThreadPool::global().size()) + 1;
+  auto s = topo_setup("B4", 120, 6 + n_val);
+  traffic::Trace train, val;
+  train.matrices.assign(s.trace.matrices.begin(), s.trace.matrices.begin() + 6);
+  val.matrices.assign(s.trace.matrices.begin() + 6, s.trace.matrices.end());
+  core::ComaConfig cfg;
+  cfg.epochs = 3;
+  cfg.rollout_batch = 2;
+  cfg.validation = &val;
+
+  auto model = make_model(s.pb);
+  ForwardCounter counter(model);
+  core::TrainStats stats =
+      core::train_coma(counter, s.pb, train, te::Objective::kTotalFlow, cfg);
+  EXPECT_EQ(counter.sharded(), static_cast<long>(cfg.epochs) * train.size());
+  EXPECT_EQ(counter.plain(), static_cast<long>(cfg.epochs) * val.size());
+  EXPECT_EQ(stats.epoch_validation.size(), static_cast<std::size_t>(cfg.epochs));
 }
 
 }  // namespace
