@@ -1,13 +1,13 @@
 // net_serving — latency under load through the TCP serving front-end.
 //
 // Not a paper figure: this bench measures the repo's own network layer
-// (src/net/), end to end over loopback TCP. A trained Teal scheme serves
-// behind net::Server; teal_slap's open-loop harness (net::run_slap) offers
-// traffic matrices at a fixed rate across standing connections, which is the
-// regime a WAN controller actually lives in — matrices keep arriving on the
-// measurement schedule whether or not the last solve finished, so queueing
-// delay and shedding become visible instead of being absorbed by a polite
-// closed-loop client.
+// (src/net/), end to end over loopback TCP. A trained Teal scheme serves as
+// the one tenant of a serve::Fleet behind net::Server; teal_slap's open-loop
+// harness (net::run_slap) offers traffic matrices at a fixed rate across
+// standing connections, which is the regime a WAN controller actually lives
+// in — matrices keep arriving on the measurement schedule whether or not the
+// last solve finished, so queueing delay and shedding become visible instead
+// of being absorbed by a polite closed-loop client.
 //
 // Procedure: first a closed-loop calibration pass (one client, back-to-back
 // solves) measures the service capacity of the replica pool through the full
@@ -27,8 +27,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/slap.h"
-#include "serve/replica.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 using namespace teal;
 
@@ -45,6 +44,18 @@ struct SweepRow {
   double p99_ms = 0.0;
   std::uint64_t dropped = 0;
 };
+
+// The instance as the one tenant of a fleet whose replica budget is the
+// bench's replica count.
+serve::TenantConfig tenant_of(bench::Instance& inst, te::Scheme& teal,
+                              const serve::ServeConfig& scfg) {
+  serve::TenantConfig tc;
+  tc.name = inst.name;
+  tc.pb = &inst.pb;
+  tc.scheme = &teal;
+  tc.serve = scfg;
+  return tc;
+}
 
 void append_experiments_ledger(const std::vector<SweepRow>& rows, double base_rps,
                                std::size_t n_replicas, int n_connections) {
@@ -88,8 +99,10 @@ int main() {
   // --- closed-loop calibration: service capacity through the socket path ---
   double base_rps = 0.0;
   {
-    serve::Server backend(inst->pb, serve::make_replicas(*teal, n_replicas), {});
-    net::Server server(backend, inst->pb);
+    serve::Fleet fleet(serve::FleetConfig{n_replicas, "load-proportional", nullptr});
+    fleet.add_tenant(tenant_of(*inst, *teal, {}));
+    fleet.start();
+    net::Server server(fleet);
     net::Client client("127.0.0.1", server.port());
     const int warmup = 5, measured = bench::fast_mode() ? 40 : 160;
     for (int i = 0; i < warmup; ++i) {
@@ -103,7 +116,7 @@ int main() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     base_rps = elapsed > 0.0 ? static_cast<double>(measured) / elapsed : 0.0;
     server.stop();
-    backend.stop();
+    fleet.stop();
   }
   std::printf("  closed-loop capacity (1 client, %zu replicas): %.1f solves/s\n\n",
               n_replicas, base_rps);
@@ -123,8 +136,10 @@ int main() {
     scfg.expected_solve_seconds =
         base_rps > 0.0 ? static_cast<double>(n_replicas) / base_rps : 0.0;
     scfg.deadline_seconds = 2.0 * scfg.expected_solve_seconds;
-    serve::Server backend(inst->pb, serve::make_replicas(*teal, n_replicas), scfg);
-    net::Server server(backend, inst->pb);
+    serve::Fleet fleet(serve::FleetConfig{n_replicas, "load-proportional", nullptr});
+    fleet.add_tenant(tenant_of(*inst, *teal, scfg));
+    fleet.start();
+    net::Server server(fleet);
 
     net::SlapConfig cfg;
     cfg.port = server.port();
@@ -133,7 +148,7 @@ int main() {
     cfg.duration_seconds = duration_s;
     auto stats = net::run_slap(cfg, requests);
     server.stop();
-    backend.stop();
+    fleet.stop();
 
     SweepRow row;
     row.multiplier = mult;

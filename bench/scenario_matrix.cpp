@@ -2,15 +2,18 @@
 //
 // Not a paper figure: this bench drives the scenario factory (src/scenario/)
 // end to end — generated power-law WANs, gravity traffic with adversarial
-// modulators, rolling failure churn — through sim::run_served, and records a
-// scenario-matrix ledger in EXPERIMENTS.md ("Scenario matrix ledger"). It is
-// the robustness story (fig 8–10) under serving load on inputs the cost
-// models were never tuned on: every scenario is deterministic from its seed,
-// so any row can be regenerated bit-identically.
+// modulators, rolling failure churn — through a one-tenant
+// scenario::run_scenario_fleet, and records a scenario-matrix ledger in
+// EXPERIMENTS.md ("Scenario matrix ledger"). It is the robustness story
+// (fig 8–10) under serving load on inputs the cost models were never tuned
+// on: every scenario is deterministic from its seed, so any row can be
+// regenerated bit-identically.
 //
 // The invariant the bench itself enforces (exit nonzero otherwise): every
 // run's serving ledger balances — offered == accepted + shed, completed ==
-// accepted after drain.
+// accepted after drain. The ledger's stated expectations are checked against
+// its own rows and printed as PASS/FAIL lines in the entry; they do not
+// affect the exit code.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -29,9 +32,49 @@ struct Row {
   double mean_satisfied = 0.0;
   std::uint64_t offered = 0, accepted = 0, shed = 0;
   double p50_ms = 0.0, p99_ms = 0.0;
+  double queue_share = 0.0;  // summed queue wait / summed response time
 };
 
-void append_experiments_ledger(const std::vector<Row>& rows) {
+struct Expectation {
+  std::string claim;
+  bool holds = true;
+};
+
+// The EXPERIMENTS.md expectations, each checked against every row it names.
+std::vector<Expectation> check_expectations(const std::vector<Row>& rows) {
+  auto find = [&](const std::string& scheme, const std::string& scenario, int nodes) {
+    for (const auto& r : rows) {
+      if (r.scheme == scheme && r.scenario == scenario && r.nodes == nodes) return &r;
+    }
+    return static_cast<const Row*>(nullptr);
+  };
+  Expectation sat{"LP-top's satisfied % is at least the untrained Teal's minus 1 point"};
+  Expectation lat{"LP-top's p50 response is below the untrained Teal's"};
+  Expectation queue{"single-epoch rows: queue wait is most (> 50%) of the response time"};
+  Expectation burst{"rolling-failure p50 is below baseline p50 (shorter per-epoch bursts)"};
+  Expectation churn{
+      "rolling-failure: more than one epoch, no shed, satisfied % at most baseline's"};
+  for (const auto& r : rows) {
+    if (r.epochs == 1) queue.holds &= r.queue_share > 0.5;
+    if (r.scheme == "LP-top") {
+      if (const Row* teal = find("Teal", r.scenario, r.nodes)) {
+        sat.holds &= r.mean_satisfied >= teal->mean_satisfied - 1.0;
+        lat.holds &= r.p50_ms < teal->p50_ms;
+      }
+    }
+    if (r.scenario == "rolling-failure") {
+      churn.holds &= r.epochs > 1 && r.shed == 0;
+      if (const Row* base = find(r.scheme, "baseline", r.nodes)) {
+        burst.holds &= r.p50_ms < base->p50_ms;
+        churn.holds &= r.mean_satisfied <= base->mean_satisfied;
+      }
+    }
+  }
+  return {sat, lat, queue, burst, churn};
+}
+
+void append_experiments_ledger(const std::vector<Row>& rows,
+                               const std::vector<Expectation>& checks) {
   std::string entry;
   entry += "\n\n### Run " + bench::ledger_stamp() + " — power-law topologies, 2 replicas";
   entry += bench::fast_mode() ? " (fast mode)" : "";
@@ -44,6 +87,10 @@ void append_experiments_ledger(const std::vector<Row>& rows) {
              " | " + std::to_string(r.offered) + " | " + std::to_string(r.shed) +
              " | " + util::fmt(r.p50_ms, 3) + " | " + util::fmt(r.p99_ms, 3) + " |\n";
   }
+  entry += "\n";
+  for (const auto& c : checks) {
+    entry += std::string("- ") + (c.holds ? "PASS" : "FAIL") + ": " + c.claim + "\n";
+  }
   bench::insert_ledger_entry(
       "<!-- bench_scenario_matrix inserts runs below this line -->", entry);
 }
@@ -52,7 +99,7 @@ void append_experiments_ledger(const std::vector<Row>& rows) {
 
 int main() {
   bench::print_header("Scenario matrix",
-                      "generated topologies x adversarial traffic through run_served");
+                      "generated topologies x adversarial traffic through a serving fleet");
   const std::vector<std::string> schemes = {"Teal", "LP-top"};
   const std::vector<std::string> scenarios = {"baseline", "diurnal", "flash-crowd",
                                               "rolling-failure"};
@@ -73,15 +120,15 @@ int main() {
         spec.traffic.n_intervals = 12;
         spec.n_demands = std::min(spec.n_demands, 100);
       }
-      scenario::Scenario sc = scenario::build_scenario(spec);
+      std::vector<scenario::Scenario> one;
+      one.push_back(scenario::build_scenario(spec));
+      const scenario::Scenario& sc = one[0];
 
       for (const auto& scheme_name : schemes) {
-        auto scheme = scenario::make_cold_scheme(scheme_name, sc.pb);
-        sim::ServedConfig cfg;
-        cfg.n_replicas = 2;
+        sim::ServedFleetConfig cfg;
+        cfg.total_replicas = 2;
         cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-        auto res = scenario::run_scenario(
-            *scheme, sc, cfg, scenario::cold_scheme_factory(scheme_name, sc.pb));
+        const auto res = scenario::run_scenario_fleet(one, scheme_name, cfg).tenants[0];
 
         Row r;
         r.scheme = scheme_name;
@@ -97,6 +144,8 @@ int main() {
         r.shed = res.stats.shed;
         r.p50_ms = res.stats.response.percentile(50.0) * 1e3;
         r.p99_ms = res.stats.response.percentile(99.0) * 1e3;
+        const double response_s = res.stats.response.sum_seconds();
+        r.queue_share = response_s > 0.0 ? res.stats.queue_wait.sum_seconds() / response_s : 0.0;
         rows.push_back(r);
 
         if (r.accepted + r.shed != r.offered || res.stats.completed != r.accepted) {
@@ -127,7 +176,11 @@ int main() {
 
   std::printf("\n%s", table.to_string().c_str());
   csv.write_csv(bench::out_dir() + "/scenario_matrix.csv");
-  append_experiments_ledger(rows);
+  const std::vector<Expectation> checks = check_expectations(rows);
+  for (const auto& c : checks) {
+    std::printf("  %s: %s\n", c.holds ? "PASS" : "FAIL", c.claim.c_str());
+  }
+  append_experiments_ledger(rows, checks);
   if (!balanced) {
     std::fprintf(stderr, "scenario_matrix: serving ledger imbalance (see above)\n");
     return 1;

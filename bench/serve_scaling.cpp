@@ -3,10 +3,11 @@
 // Not a paper figure: this bench measures the repo's own serving subsystem
 // (serve::Server), the scaling scenario ROADMAP.md names as the successor to
 // solve_batch. One shared trained TealScheme, N workspace replicas draining
-// a burst of requests (open-loop saturation, sim::run_served with arrival
-// interval 0). Because replica solves over independent matrices commute —
-// no shared mutable state, the same argument behind solve_batch — solves/sec
-// should rise monotonically from 1 replica to the hardware thread count.
+// a burst of requests (open-loop saturation, a one-tenant
+// sim::run_served_fleet with arrival interval 0). Because replica solves over
+// independent matrices commute — no shared mutable state, the same argument
+// behind solve_batch — solves/sec should rise monotonically from 1 replica to
+// the hardware thread count.
 //
 // A second pass offers requests at ~2× the measured single-replica service
 // rate against a one-interval deadline, demonstrating admission control:
@@ -85,8 +86,8 @@ int main() {
   double base_throughput = 0.0;
   bool monotonic = true;
   for (std::size_t r = 1; r <= hw; ++r) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = r;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = r;
     // This bench measures the *replica* axis in isolation: pin one shard per
     // solve so the auto cost model can't hand the 1-replica baseline extra
     // pool threads (which would contaminate the speedup column and the
@@ -94,8 +95,9 @@ int main() {
     cfg.shard_count = 1;
     cfg.serve.queue_capacity = static_cast<std::size_t>(n_requests);
     // Saturation mode: one burst, no deadline — measures pure service capacity.
-    auto res = sim::run_served(*teal, inst->pb, requests, cfg);
-    const auto& s = res.stats;
+    const auto res =
+        sim::run_served_fleet({{inst->name, &inst->pb, &requests, teal.get()}}, cfg);
+    const auto& s = res.tenants[0].stats;
     SweepRow row;
     row.replicas = r;
     row.solves_per_sec = s.throughput();
@@ -124,14 +126,15 @@ int main() {
   // rate against a one-arrival-interval deadline; the server sheds the
   // excess instead of queueing requests it cannot start in time.
   if (base_throughput > 0.0) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.shard_count = 1;  // same isolation as the sweep above
     cfg.arrival_interval_seconds = 1.0 / (2.0 * base_throughput);
     cfg.serve.queue_capacity = static_cast<std::size_t>(n_requests);
     cfg.serve.deadline_seconds = cfg.arrival_interval_seconds;
-    auto res = sim::run_served(*teal, inst->pb, requests, cfg);
-    const auto& s = res.stats;
+    const auto res =
+        sim::run_served_fleet({{inst->name, &inst->pb, &requests, teal.get()}}, cfg);
+    const auto& s = res.tenants[0].stats;
     std::printf("\n  overload: offered at 2.0x single-replica rate, deadline = one arrival\n"
                 "  interval -> accepted %llu, shed %llu (%.0f%%), response p99 %.3f ms\n",
                 static_cast<unsigned long long>(s.accepted),

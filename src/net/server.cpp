@@ -71,30 +71,11 @@ struct Server::Core {
   }
 };
 
-Server::Server(serve::Server& backend, const te::Problem& pb, NetServerConfig cfg)
-    : backend_(&backend), pb_(&pb), cfg_(cfg), core_(std::make_shared<Core>()) {
-  listener_ = util::listen_tcp(cfg_.host, cfg_.port, &port_);
-  util::set_nonblocking(listener_, true);
-  io_thread_ = std::thread([this] { io_loop(); });
-}
-
 Server::Server(serve::Fleet& fleet, NetServerConfig cfg)
-    : fleet_(&fleet), cfg_(cfg), core_(std::make_shared<Core>()) {
+    : fleet_(fleet), cfg_(cfg), core_(std::make_shared<Core>()) {
   listener_ = util::listen_tcp(cfg_.host, cfg_.port, &port_);
   util::set_nonblocking(listener_, true);
   io_thread_ = std::thread([this] { io_loop(); });
-}
-
-Server::Route Server::resolve(const std::string& tenant) {
-  if (fleet_ != nullptr) {
-    const serve::Fleet::Route r = fleet_->route(tenant);
-    return Route{r.server, r.pb};
-  }
-  // Single-tenant mode serves exactly one (default) tenant; any name is a
-  // routing miss, not a silent fallthrough to the only backend — a client
-  // that asked for "wan-eu" must not get "wan-us" allocations.
-  if (!tenant.empty()) return {};
-  return Route{backend_, pb_};
 }
 
 Server::~Server() { stop(); }
@@ -123,7 +104,7 @@ SubmitOutcome Server::submit_solve(Session& session, std::uint32_t request_id,
     reason = ShedReason::kStopping;
     return SubmitOutcome::kShed;
   }
-  const Route route = resolve(tenant);
+  const serve::Fleet::Route route = fleet_.route(tenant);
   if (route.server == nullptr) return SubmitOutcome::kUnknownTenant;
   if (static_cast<int>(tm.volume.size()) != route.pb->num_demands()) {
     expected_demands = route.pb->num_demands();

@@ -1,11 +1,10 @@
 // server.h — the TCP front door of the serving layer.
 //
-// net::Server turns a serving backend into a network service: it accepts
+// net::Server turns a serve::Fleet into a network service: it accepts
 // standing TCP connections, runs one Session per connection, and plumbs
-// validated solve requests into the backend's queue. The backend is either a
-// single serve::Server (one tenant, the PR 7 shape — the legacy constructor)
-// or a serve::Fleet, where each request's tenant field routes it to that
-// tenant's server and problem. The division of labour:
+// validated solve requests into the fleet, where each request's tenant field
+// routes it to that tenant's server and problem. Serving one topology is the
+// one-tenant fleet. The division of labour:
 //
 //   client ── TCP ──► Session (wire.h decode)
 //                        │ submit(tenant, tm)      ▲ outbox
@@ -30,7 +29,7 @@
 // into memory the slot keeps alive, the completion finds the session gone,
 // and the server keeps serving (tests/net_serve_test.cpp pins this).
 // Callbacks hold a weak_ptr to the server's shared core, so they also
-// outlive the net::Server itself being destroyed while the backend drains.
+// outlive the net::Server itself being destroyed while the fleet drains.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +41,6 @@
 #include "net/session.h"
 #include "net/wire.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
-#include "te/problem.h"
 
 namespace teal::net {
 
@@ -72,16 +69,12 @@ struct NetStats {
 
 class Server {
  public:
-  // Single-tenant form: binds and starts the I/O thread immediately.
-  // `backend` and `pb` must outlive the server; `pb` must be the same
-  // problem the backend's replicas solve (its demand count validates every
-  // request). Only the default tenant ("") routes here — a named tenant in a
-  // request gets kUnknownTenant. Throws std::system_error when the address
-  // cannot be bound.
-  Server(serve::Server& backend, const te::Problem& pb, NetServerConfig cfg = {});
-  // Fleet form: requests route by their tenant field through fleet.route()
-  // ("" = the fleet's default tenant). The fleet must be started before the
-  // first request arrives and must outlive the server.
+  // Binds and starts the I/O thread immediately. Requests route by their
+  // tenant field through fleet.route() ("" = the fleet's default tenant; an
+  // unregistered name gets kUnknownTenant), and the routed problem's demand
+  // count validates every request. The fleet must be started before the
+  // first request arrives and must outlive the server. Throws
+  // std::system_error when the address cannot be bound.
   Server(serve::Fleet& fleet, NetServerConfig cfg = {});
   ~Server();  // stop()
 
@@ -92,7 +85,7 @@ class Server {
   std::uint16_t port() const { return port_; }
 
   // Closes the listener and every session, then joins the I/O thread.
-  // Idempotent. Requests already handed to the backend still complete there;
+  // Idempotent. Requests already handed to the fleet still complete there;
   // their responses are dropped (counted in NetStats::dropped_responses).
   void stop();
 
@@ -101,23 +94,12 @@ class Server {
  private:
   struct Core;  // shared with in-flight completion callbacks (weakly)
 
-  // Tenant resolution: the fleet's route() in fleet mode, the fixed
-  // backend/problem pair (default tenant only) in single-tenant mode.
-  struct Route {
-    serve::Server* server = nullptr;
-    const te::Problem* pb = nullptr;
-  };
-  Route resolve(const std::string& tenant);
-
   void io_loop();
   SubmitOutcome submit_solve(Session& session, std::uint32_t request_id,
                              const std::string& tenant, te::TrafficMatrix&& tm,
                              ShedReason& reason, int& expected_demands);
 
-  // Exactly one of {fleet_, backend_} is set; pb_ pairs with backend_.
-  serve::Fleet* fleet_ = nullptr;
-  serve::Server* backend_ = nullptr;
-  const te::Problem* pb_ = nullptr;
+  serve::Fleet& fleet_;
   NetServerConfig cfg_;
   util::Socket listener_;
   std::uint16_t port_ = 0;

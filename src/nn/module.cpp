@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -148,10 +149,36 @@ void Adam::step() {
 }
 
 namespace {
+
 constexpr std::uint64_t kMagic = 0x5445414C4D444Cull;  // "TEALMDL"
+
+// FNV-1a, 64-bit: the trailer's checksum over every payload byte.
+std::uint64_t fnv1a64(const void* data, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ static_cast<const unsigned char*>(data)[i]) * 0x100000001b3ull;
+  }
+  return h;
 }
 
+}  // namespace
+
+// The file is a sequence of 64-bit words. Payload: magic, count, then rows,
+// cols and the values per parameter. Trailer: the payload's byte length and
+// its checksum.
 void save_params(const std::string& path, const std::vector<Param*>& params) {
+  std::vector<std::uint64_t> words{kMagic, params.size()};
+  for (const Param* p : params) {
+    words.push_back(static_cast<std::uint64_t>(p->w.rows()));
+    words.push_back(static_cast<std::uint64_t>(p->w.cols()));
+    words.resize(words.size() + p->w.size());
+    std::memcpy(words.data() + words.size() - p->w.size(), p->w.data().data(),
+                p->w.size() * sizeof(double));
+  }
+  const std::size_t payload = words.size() * sizeof(std::uint64_t);
+  words.push_back(payload);
+  words.push_back(fnv1a64(words.data(), payload));
+
   // Write-then-rename: a crash or a full disk mid-write never leaves a
   // partial cache under `path`. The temp file sits in the same directory, so
   // the rename stays on one filesystem (atomic on POSIX).
@@ -159,15 +186,8 @@ void save_params(const std::string& path, const std::vector<Param*>& params) {
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f) throw std::runtime_error("save_params: cannot open " + tmp);
-    auto w64 = [&](std::uint64_t v) { f.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
-    w64(kMagic);
-    w64(static_cast<std::uint64_t>(params.size()));
-    for (const Param* p : params) {
-      w64(static_cast<std::uint64_t>(p->w.rows()));
-      w64(static_cast<std::uint64_t>(p->w.cols()));
-      f.write(reinterpret_cast<const char*>(p->w.data().data()),
-              static_cast<std::streamsize>(p->w.size() * sizeof(double)));
-    }
+    f.write(reinterpret_cast<const char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
     f.close();
     if (!f) {
       std::remove(tmp.c_str());
@@ -181,33 +201,39 @@ void save_params(const std::string& path, const std::vector<Param*>& params) {
 }
 
 bool load_params(const std::string& path, const std::vector<Param*>& params) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return false;
-  auto r64 = [&](std::uint64_t& v) {
-    return static_cast<bool>(f.read(reinterpret_cast<char*>(&v), sizeof(v)));
-  };
-  std::uint64_t magic = 0, count = 0;
-  if (!r64(magic) || magic != kMagic || !r64(count) || count != params.size()) return false;
-  // Parse the whole file into staging before touching any parameter: a
-  // truncated, mis-shaped or over-long file returns false with the
-  // parameters exactly as they were.
-  std::vector<std::vector<double>> staged(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const Mat& w = params[i]->w;
-    std::uint64_t rows = 0, cols = 0;
-    if (!r64(rows) || !r64(cols) || rows != static_cast<std::uint64_t>(w.rows()) ||
-        cols != static_cast<std::uint64_t>(w.cols())) {
-      return false;
-    }
-    staged[i].resize(w.size());
-    if (!f.read(reinterpret_cast<char*>(staged[i].data()),
-                static_cast<std::streamsize>(w.size() * sizeof(double)))) {
-      return false;
-    }
+  const auto size = static_cast<std::size_t>(f.tellg());
+  if (size % sizeof(std::uint64_t) != 0 || size < 4 * sizeof(std::uint64_t)) return false;
+  std::vector<std::uint64_t> words(size / sizeof(std::uint64_t));
+  f.seekg(0);
+  if (!f.read(reinterpret_cast<char*>(words.data()), static_cast<std::streamsize>(size))) {
+    return false;
   }
-  if (f.peek() != std::ifstream::traits_type::eof()) return false;  // trailing bytes
+  // Check the trailer, every shape and the exact length before touching any
+  // parameter: a truncated, padded, bit-flipped, mis-shaped or pre-trailer
+  // file returns false with the parameters exactly as they were.
+  const std::size_t n = words.size() - 2;  // payload words
+  if (words[n] != n * sizeof(std::uint64_t) ||
+      words[n + 1] != fnv1a64(words.data(), n * sizeof(std::uint64_t)) ||
+      words[0] != kMagic || words[1] != params.size()) {
+    return false;
+  }
+  std::vector<std::size_t> offsets;
+  std::size_t at = 2;
+  for (const Param* p : params) {
+    if (n - at < 2 || words[at] != static_cast<std::uint64_t>(p->w.rows()) ||
+        words[at + 1] != static_cast<std::uint64_t>(p->w.cols()) ||
+        n - at - 2 < p->w.size()) {
+      return false;
+    }
+    offsets.push_back(at + 2);
+    at += 2 + p->w.size();
+  }
+  if (at != n) return false;  // words between the last matrix and the trailer
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::copy(staged[i].begin(), staged[i].end(), params[i]->w.data().begin());
+    std::memcpy(params[i]->w.data().data(), words.data() + offsets[i],
+                params[i]->w.size() * sizeof(double));
   }
   return true;
 }

@@ -171,10 +171,11 @@ class Adam {
 };
 
 // Binary serialization of a parameter list. save_params writes a temp file
-// next to `path` and renames it into place (throws on any I/O failure).
-// load_params is all-or-nothing: it returns false — with every parameter
-// unchanged — unless the file parses completely, every shape matches and no
-// bytes trail the last matrix.
+// next to `path` and renames it into place (throws on any I/O failure); the
+// file ends in a trailer holding the payload's byte length and a 64-bit
+// FNV-1a checksum of it. load_params is all-or-nothing: it returns false —
+// with every parameter unchanged — unless the trailer matches, the payload
+// parses completely, every shape matches and no bytes trail the last matrix.
 void save_params(const std::string& path, const std::vector<Param*>& params);
 bool load_params(const std::string& path, const std::vector<Param*>& params);
 

@@ -85,8 +85,8 @@ FailureState::FailureState(const topo::Graph& g, std::vector<FailureEvent> event
     throw std::invalid_argument("FailureState: events must be sorted by interval");
   }
   // Snapshot the capacities now: the caller is free to mutate the graph
-  // between queries (run_scenario writes each epoch's capacities — zeros for
-  // failed links included — back into the live graph), and a repair must
+  // between queries (the fleet replay writes each epoch's capacities — zeros
+  // for failed links included — back into the live graph), and a repair must
   // restore the pre-failure value, not whatever the graph holds by then.
   orig_.resize(static_cast<std::size_t>(g.num_edges()));
   for (topo::EdgeId e = 0; e < g.num_edges(); ++e) {

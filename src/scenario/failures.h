@@ -50,7 +50,7 @@ std::vector<FailureEvent> make_rolling_failures(const topo::Graph& g, int n_inte
 // usable for both forward sweeps and random access. Capacities are
 // snapshotted at construction: repairs restore the construction-time value
 // even when the caller writes epoch capacities (zeros included) back into
-// the live graph between queries, as run_scenario does.
+// the live graph between queries, as the fleet replay does.
 class FailureState {
  public:
   FailureState(const topo::Graph& g, std::vector<FailureEvent> events);

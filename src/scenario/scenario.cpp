@@ -15,50 +15,6 @@ namespace {
 constexpr std::uint64_t kTagDemands = 21;
 constexpr std::uint64_t kTagTraffic = 22;
 
-// Restores the problem graph's capacities on scope exit, so a scenario run
-// (which applies failure-epoch capacities between solves) leaves the
-// scenario reusable even when a run throws.
-class CapacityRestore {
- public:
-  explicit CapacityRestore(te::Problem& pb) : pb_(&pb), orig_(pb.capacities()) {}
-  ~CapacityRestore() {
-    for (topo::EdgeId e = 0; e < pb_->graph().num_edges(); ++e) {
-      pb_->mutable_graph().set_capacity(e, orig_[static_cast<std::size_t>(e)]);
-    }
-  }
-  CapacityRestore(const CapacityRestore&) = delete;
-  CapacityRestore& operator=(const CapacityRestore&) = delete;
-
- private:
-  te::Problem* pb_;
-  std::vector<double> orig_;
-};
-
-void apply_capacities(te::Problem& pb, const std::vector<double>& caps) {
-  for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
-    pb.mutable_graph().set_capacity(e, caps[static_cast<std::size_t>(e)]);
-  }
-}
-
-void merge_stats(serve::ServeStats& into, const serve::ServeStats& s) {
-  into.offered += s.offered;
-  into.accepted += s.accepted;
-  into.shed += s.shed;
-  into.completed += s.completed;
-  into.wall_seconds += s.wall_seconds;
-  into.replica_deaths += s.replica_deaths;
-  into.requeued += s.requeued;
-  into.failed += s.failed;
-  into.queue_wait.merge(s.queue_wait);
-  into.solve.merge(s.solve);
-  into.response.merge(s.response);
-  if (into.replicas.size() < s.replicas.size()) into.replicas.resize(s.replicas.size());
-  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    into.replicas[i].solved += s.replicas[i].solved;
-    into.replicas[i].busy_seconds += s.replicas[i].busy_seconds;
-  }
-}
-
 }  // namespace
 
 Scenario build_scenario(const ScenarioSpec& spec) {
@@ -83,7 +39,7 @@ Scenario build_scenario(const ScenarioSpec& spec) {
   }
 
   // The schedule only encodes link identities and timing; capacities come
-  // from the FailureState snapshot, which run_scenario takes from the
+  // from the FailureState snapshot, which run_scenario_fleet takes from the
   // (calibrated) graph before the first epoch, so repairs restore the
   // calibrated values.
   std::vector<FailureEvent> failures;
@@ -163,69 +119,9 @@ serve::SchemeFactory cold_scheme_factory(const std::string& scheme,
   throw std::invalid_argument("cold_scheme_factory: unknown scheme '" + scheme + "'");
 }
 
-ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
-                               const sim::ServedConfig& cfg,
-                               const serve::SchemeFactory& factory) {
-  ScenarioRunResult res;
-  const int n = sc.trace.size();
-  res.allocs.reserve(static_cast<std::size_t>(n));
-  res.accepted.reserve(static_cast<std::size_t>(n));
-  res.satisfied_pct.reserve(static_cast<std::size_t>(n));
-
-  // Epoch boundaries: interval 0 plus every failure-event interval inside
-  // the trace. Within one epoch the capacity vector is constant, so the
-  // serving replicas never observe a capacity change mid-run.
-  std::vector<int> starts{0};
-  for (int s : failure_epoch_starts(sc.failures)) {
-    if (s > 0 && s < n && s != starts.back()) starts.push_back(s);
-  }
-  res.n_epochs = static_cast<int>(starts.size());
-
-  CapacityRestore restore(sc.pb);
-  FailureState state(sc.pb.graph(), sc.failures);
-  for (std::size_t ep = 0; ep < starts.size(); ++ep) {
-    const int b = starts[ep];
-    const int e = ep + 1 < starts.size() ? starts[ep + 1] : n;
-    apply_capacities(sc.pb, state.capacities_at(b));
-
-    traffic::Trace segment;
-    segment.matrices.assign(sc.trace.matrices.begin() + b,
-                            sc.trace.matrices.begin() + e);
-    sim::ServedResult sr = sim::run_served(scheme, sc.pb, segment, cfg, factory);
-
-    for (int t = 0; t < segment.size(); ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      res.accepted.push_back(sr.accepted[i]);
-      res.satisfied_pct.push_back(
-          sr.accepted[i] ? te::satisfied_demand_pct(sc.pb, segment.at(t), sr.allocs[i])
-                         : 0.0);
-      res.allocs.push_back(std::move(sr.allocs[i]));
-    }
-    merge_stats(res.stats, sr.stats);
-  }
-
-  double sum = 0.0;
-  std::size_t n_ok = 0;
-  for (std::size_t i = 0; i < res.satisfied_pct.size(); ++i) {
-    if (res.accepted[i]) {
-      sum += res.satisfied_pct[i];
-      ++n_ok;
-    }
-  }
-  res.mean_satisfied_pct = n_ok > 0 ? sum / static_cast<double>(n_ok) : 0.0;
-  return res;
-}
-
 FleetScenarioResult run_scenario_fleet(std::vector<Scenario>& scenarios,
                                        const std::string& scheme_name,
                                        const sim::ServedFleetConfig& cfg) {
-  for (const Scenario& sc : scenarios) {
-    if (!sc.failures.empty()) {
-      throw std::invalid_argument(
-          "run_scenario_fleet: failure schedules are not supported in fleet "
-          "replay (scenario '" + sc.name + "'); run it through run_scenario");
-    }
-  }
   std::vector<std::unique_ptr<te::Scheme>> schemes;
   std::vector<sim::ServedTenant> tenants;
   schemes.reserve(scenarios.size());
@@ -239,24 +135,42 @@ FleetScenarioResult run_scenario_fleet(std::vector<Scenario>& scenarios,
     t.scheme = schemes.back().get();
     t.factory = cold_scheme_factory(scheme_name, sc.pb);
     t.offered_weight = 1.0;
+    // Epoch boundaries: interval 0 plus every failure-event interval inside
+    // the trace. Within one epoch the capacity vector is constant.
+    std::vector<int> starts{0};
+    for (int s : failure_epoch_starts(sc.failures)) {
+      if (s > 0 && s < sc.trace.size() && s != starts.back()) starts.push_back(s);
+    }
+    FailureState state(sc.pb.graph(), sc.failures);
+    for (int s : starts) t.epochs.push_back(sim::CapacityEpoch{s, state.capacities_at(s)});
     tenants.push_back(std::move(t));
   }
 
+  sim::ServedFleetResult served = sim::run_served_fleet(tenants, cfg);
   FleetScenarioResult res;
-  res.served = sim::run_served_fleet(tenants, cfg);
-  res.mean_satisfied_pct.resize(scenarios.size(), 0.0);
+  res.tenants.resize(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const auto& sc = scenarios[i];
-    const auto& tr = res.served.tenants[i];
+    const Scenario& sc = scenarios[i];
+    const std::vector<sim::CapacityEpoch>& epochs = tenants[i].epochs;
+    FleetScenarioResult::Tenant& out = res.tenants[i];
+    static_cast<sim::ServedFleetResult::Tenant&>(out) = std::move(served.tenants[i]);
+    out.n_epochs = static_cast<int>(epochs.size());
+    out.satisfied_pct.reserve(out.allocs.size());
     double sum = 0.0;
-    std::size_t n_ok = 0;
+    std::size_t n_ok = 0, ep = 0;
     for (int t = 0; t < sc.trace.size(); ++t) {
       const auto k = static_cast<std::size_t>(t);
-      if (!tr.accepted[k]) continue;
-      sum += te::satisfied_demand_pct(sc.pb, sc.trace.at(t), tr.allocs[k]);
+      while (ep + 1 < epochs.size() && epochs[ep + 1].start <= t) ++ep;
+      if (!out.accepted[k]) {
+        out.satisfied_pct.push_back(0.0);
+        continue;
+      }
+      out.satisfied_pct.push_back(
+          te::satisfied_demand_pct(sc.pb, sc.trace.at(t), out.allocs[k], &epochs[ep].capacities));
+      sum += out.satisfied_pct.back();
       ++n_ok;
     }
-    res.mean_satisfied_pct[i] = n_ok > 0 ? sum / static_cast<double>(n_ok) : 0.0;
+    out.mean_satisfied_pct = n_ok > 0 ? sum / static_cast<double>(n_ok) : 0.0;
   }
   return res;
 }

@@ -3,10 +3,10 @@
 // Composes a generated topology (generators.h), a gravity-model traffic
 // trace with adversarial modulators (traffic_model.h) and an optional
 // rolling failure schedule (failures.h) into one named, fully deterministic
-// Scenario, then replays it through the serving layer (sim::run_served) —
-// the robustness axis (fig 8–10) exercised under serving load instead of
-// offline. bench_scenario_matrix sweeps scheme × scenario × scale into the
-// EXPERIMENTS.md "Scenario matrix ledger".
+// Scenario, then replays it through the serving layer
+// (sim::run_served_fleet) — the robustness axis (fig 8–10) exercised under
+// serving load instead of offline. bench_scenario_matrix sweeps scheme ×
+// scenario × scale into the EXPERIMENTS.md "Scenario matrix ledger".
 //
 // Generated topologies have no trained model; make_cold_scheme builds the
 // *untrained* Teal pipeline (deterministic seed init — the serving, sharding
@@ -85,35 +85,23 @@ serve::SchemeFactory cold_scheme_factory(const std::string& scheme,
                                          const te::Problem& pb,
                                          std::uint64_t seed = 42);
 
-struct ScenarioRunResult {
-  // Index-aligned with the scenario trace, concatenated over failure epochs
-  // (same contract as sim::ServedResult).
-  std::vector<te::Allocation> allocs;
-  std::vector<char> accepted;
-  // Satisfied demand per interval under the capacities active at that
-  // interval (0 for shed intervals), and its mean over accepted intervals.
-  std::vector<double> satisfied_pct;
-  double mean_satisfied_pct = 0.0;
-  // Serving counters summed over epochs; histograms merged.
-  serve::ServeStats stats;
-  int n_epochs = 1;
-};
-
-// Replays the scenario through sim::run_served, re-applying the failure
-// schedule's capacities between epochs (solves never see a capacity change
-// mid-flight). The scenario's graph capacities are restored before
-// returning, even on error. `factory` follows the run_served contract.
-ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
-                               const sim::ServedConfig& cfg,
-                               const serve::SchemeFactory& factory = nullptr);
-
-// Multi-tenant counterpart: each scenario becomes one fleet tenant (scheme
-// built via make_cold_scheme), replicas split by `policy`. Failure schedules
-// are not supported here (the merged arrival clock has no epoch boundary);
-// throws if any scenario carries one.
+// Replays the scenarios through one serve::Fleet (sim::run_served_fleet),
+// one tenant per scenario with its scheme built via make_cold_scheme, the
+// replica budget split by `cfg.policy`. A single-scenario run is a
+// one-element vector. Each failure schedule becomes its tenant's capacity
+// epochs: interval 0 plus every failure-event interval inside the trace, so
+// a tenant drains and re-capacitates between epochs while the others keep
+// solving. Every scenario's graph capacities are restored before returning,
+// even on error.
 struct FleetScenarioResult {
-  sim::ServedFleetResult served;                   // per-tenant allocs/stats
-  std::vector<double> mean_satisfied_pct;          // per tenant
+  struct Tenant : sim::ServedFleetResult::Tenant {
+    // Satisfied demand per interval under the capacities of its epoch (0 for
+    // shed intervals), and its mean over accepted intervals.
+    std::vector<double> satisfied_pct;
+    double mean_satisfied_pct = 0.0;
+    int n_epochs = 1;
+  };
+  std::vector<Tenant> tenants;  // scenario order
 };
 FleetScenarioResult run_scenario_fleet(std::vector<Scenario>& scenarios,
                                        const std::string& scheme_name,

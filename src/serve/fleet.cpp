@@ -37,6 +37,9 @@ Fleet::~Fleet() { stop(); }
 
 void Fleet::add_tenant(TenantConfig t) {
   if (started_) throw std::logic_error("Fleet::add_tenant: fleet already started");
+  // On the wire the empty tenant means "the default one", so it can't be a
+  // name: a "" tenant registered second would be unreachable.
+  if (t.name.empty()) throw std::invalid_argument("Fleet::add_tenant: empty tenant name");
   if (t.pb == nullptr) {
     throw std::invalid_argument("Fleet::add_tenant: tenant '" + t.name + "' has no problem");
   }

@@ -1,9 +1,11 @@
 // fleet.h — multi-tenant serving: one process, many topologies, one budget.
 //
-// PR 7's net front-end put one serve::Server (= one topology, one model)
-// behind a socket. A WAN controller realistically serves *many* topology
-// slices at once — the paper's per-topology model means each slice brings its
-// own Problem + trained scheme — so the Fleet refactors serving into:
+// One serve::Server serves one topology with one model. A WAN controller
+// realistically serves *many* topology slices at once — the paper's
+// per-topology model means each slice brings its own Problem + trained
+// scheme — so every serving entry point (net::Server, sim::run_served_fleet,
+// scenario::run_scenario_fleet) goes through a Fleet, a single topology
+// being the one-tenant case:
 //
 //   add_tenant(name, pb, scheme, ...) xN      (registry: before start())
 //        │
@@ -97,8 +99,8 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   // Registry construction: before start() only (throws std::logic_error
-  // after). Throws std::invalid_argument on a null problem, a duplicate
-  // name, or a config with neither scheme nor make_replicas_fn.
+  // after). Throws std::invalid_argument on an empty or duplicate name, a
+  // null problem, or a config with neither scheme nor make_replicas_fn.
   void add_tenant(TenantConfig t);
 
   // Runs the placement policy over the registered tenants and starts one

@@ -1,54 +1,65 @@
 #include "sim/served.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace teal::sim {
 
-ServedResult run_served(const te::Problem& pb, const traffic::Trace& trace,
-                        std::vector<serve::ReplicaPtr> replicas, const ServedConfig& cfg) {
-  ServedResult res;
-  const std::size_t n = static_cast<std::size_t>(trace.size());
-  res.allocs.resize(n);
-  res.accepted.assign(n, 0);
+namespace {
 
-  serve::Server server(pb, std::move(replicas), cfg.serve);
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < n; ++t) {
-    if (cfg.arrival_interval_seconds > 0.0) {
-      // Open-loop: arrival t happens at start + t·interval whether or not
-      // earlier requests finished (no back-pressure on the arrival process).
-      const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       static_cast<double>(t) * cfg.arrival_interval_seconds));
-      std::this_thread::sleep_until(due);
-    }
-    res.accepted[t] =
-        server.submit(trace.at(static_cast<int>(t)), res.allocs[t]) ? 1 : 0;
+void install_capacities(te::Problem& pb, const std::vector<double>& caps) {
+  for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
+    pb.mutable_graph().set_capacity(e, caps[static_cast<std::size_t>(e)]);
   }
-  server.drain();
-  res.stats = server.stop();
-  return res;
 }
 
-ServedResult run_served(te::Scheme& scheme, const te::Problem& pb,
-                        const traffic::Trace& trace, const ServedConfig& cfg,
-                        const serve::SchemeFactory& factory) {
-  // Precision is a scheme-level switch (weight snapshots, not per-solve
-  // state), so it must be set before the replica threads start (Server's
-  // constructor, inside the inner run_served) and restored only after they
-  // join — mid-run switching would race with the replicas' solves.
-  te::Scheme::ScopedPrecision precision_guard(scheme, cfg.precision);
-  return run_served(
-      pb, trace,
-      serve::make_replicas(scheme, cfg.n_replicas, factory, cfg.shard_count), cfg);
+// Restores, on scope exit, the capacities of every problem the replay
+// re-capacitates, so a replay leaves its inputs reusable even when it throws.
+// Constructed before the fleet, so it runs after the replica threads joined.
+struct CapacityRestore {
+  std::vector<std::pair<te::Problem*, std::vector<double>>> saved;
+  CapacityRestore() = default;
+  CapacityRestore(const CapacityRestore&) = delete;
+  CapacityRestore& operator=(const CapacityRestore&) = delete;
+  ~CapacityRestore() {
+    for (auto& [pb, caps] : saved) install_capacities(*pb, caps);
+  }
+};
+
+void validate_epochs(const std::vector<ServedTenant>& tenants) {
+  for (const ServedTenant& t : tenants) {
+    for (std::size_t k = 0; k < t.epochs.size(); ++k) {
+      const auto n_edges = static_cast<std::size_t>(t.pb->graph().num_edges());
+      if (t.epochs[k].capacities.size() != n_edges ||
+          t.epochs[k].start < (k == 0 ? 0 : t.epochs[k - 1].start + 1)) {
+        throw std::invalid_argument("run_served_fleet: tenant '" + t.name +
+                                    "' has a mis-sized or out-of-order capacity epoch");
+      }
+    }
+    for (const ServedTenant& other : tenants) {
+      if (!t.epochs.empty() && &other != &t && other.pb == t.pb) {
+        throw std::invalid_argument("run_served_fleet: tenant '" + t.name +
+                                    "' has capacity epochs but shares its problem with '" +
+                                    other.name + "'");
+      }
+    }
+  }
 }
+
+}  // namespace
 
 ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
                                    const ServedFleetConfig& cfg) {
+  validate_epochs(tenants);
   ServedFleetResult res;
   res.tenants.resize(tenants.size());
+
+  CapacityRestore restore;
+  for (const ServedTenant& t : tenants) {
+    if (!t.epochs.empty()) restore.saved.emplace_back(t.pb, t.pb->capacities());
+  }
 
   serve::FleetConfig fcfg;
   fcfg.total_replicas = cfg.total_replicas;
@@ -70,6 +81,7 @@ ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
 
   std::vector<serve::Fleet::Route> routes;
   std::vector<std::size_t> next(tenants.size(), 0);
+  std::vector<std::size_t> next_epoch(tenants.size(), 0);
   std::size_t remaining = 0;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     routes.push_back(fleet.route(tenants[i].name));
@@ -84,18 +96,29 @@ ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
   // different per-tenant queues, so this loop is the only cross-tenant
   // ordering that exists.
   using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
+  const auto offset = [&](std::size_t arrival) {
+    return std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(
+        static_cast<double>(arrival) * cfg.arrival_interval_seconds));
+  };
+  auto start = Clock::now();
   std::size_t arrival = 0;
   while (remaining > 0) {
     for (std::size_t i = 0; i < tenants.size(); ++i) {
       const std::size_t t = next[i];
       if (t >= res.tenants[i].allocs.size()) continue;
+      const auto& epochs = tenants[i].epochs;
+      std::size_t& ep = next_epoch[i];
+      if (ep < epochs.size() && epochs[ep].start == static_cast<int>(t)) {
+        // Capacity epoch boundary: only this tenant drains. The arrival clock
+        // pauses for the drain — this arrival is due the moment it ends, as
+        // the first arrival of a fresh replay would be.
+        routes[i].server->drain();
+        install_capacities(*tenants[i].pb, epochs[ep].capacities);
+        ++ep;
+        start = Clock::now() - offset(arrival);
+      }
       if (cfg.arrival_interval_seconds > 0.0) {
-        const auto due =
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(static_cast<double>(arrival) *
-                                                      cfg.arrival_interval_seconds));
-        std::this_thread::sleep_until(due);
+        std::this_thread::sleep_until(start + offset(arrival));
       }
       res.tenants[i].accepted[t] =
           routes[i].server->submit(tenants[i].trace->at(static_cast<int>(t)),
@@ -109,6 +132,9 @@ ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
   }
   fleet.drain();
   res.stats = fleet.stop();
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    res.tenants[i].stats = res.stats.tenants[i].serve;
+  }
   return res;
 }
 

@@ -132,8 +132,8 @@ class Scheme {
   virtual void set_precision(Precision /*p*/) {}
   virtual Precision precision() const { return Precision::f64; }
 
-  // Scoped apply/restore of the precision knob, shared by the run drivers
-  // (sim::run_online, sim::run_served): engages only when `p` is set,
+  // Scoped apply/restore of the precision knob, for sim::run_online and for
+  // callers that wrap a served replay in it: engages only when `p` is set,
   // differs from the scheme's current setting and is supported; restores the
   // previous setting on destruction. The scheme must outlive the scope and
   // must not solve concurrently at the moments of apply/restore.

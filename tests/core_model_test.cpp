@@ -208,8 +208,9 @@ std::vector<std::vector<double>> param_values(core::Model& m) {
 
 TEST(TealModel, DamagedCacheLoadLeavesParamsUntouched) {
   // load() is all-or-nothing: a truncated file, a shape mismatch past the
-  // first parameter and trailing garbage each return false with every
-  // parameter byte-identical to before the call.
+  // first parameter, trailing garbage and a same-length file with one flipped
+  // weight byte each return false with every parameter byte-identical to
+  // before the call.
   auto pb = tiny_problem();
   const auto path = (std::filesystem::temp_directory_path() / "teal_damaged_cache.bin").string();
   core::TealModel({}, pb.k_paths(), 21).save(path);
@@ -231,10 +232,17 @@ TEST(TealModel, DamagedCacheLoadLeavesParamsUntouched) {
     std::ifstream f(path, std::ios::binary);
     wrong_shape.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
   }
+  // Header: magic + count (16 bytes), then the first parameter's rows + cols
+  // (16 bytes); byte 37 sits inside its first weight.
+  auto flip_weight_byte = [](std::string bytes) {
+    bytes[37] = static_cast<char>(bytes[37] ^ 0x10);
+    return bytes;
+  };
   const std::pair<const char*, std::string> damaged[] = {
       {"truncated by 8 bytes", good.substr(0, good.size() - 8)},
       {"wrong shape", wrong_shape},
       {"7 trailing bytes", good + std::string(7, '\x5a')},
+      {"same length, one weight byte flipped", flip_weight_byte(good)},
   };
   core::TealModel target({}, pb.k_paths(), 99);
   const auto before = param_values(target);

@@ -421,6 +421,8 @@ TEST(Fleet, RegistryValidatesAndFreezesAtStart) {
   no_builder.name = "y";
   no_builder.pb = &a.pb;
   EXPECT_THROW(fleet.add_tenant(std::move(no_builder)), std::invalid_argument);
+  // "" is the wire's default tenant, never a name.
+  EXPECT_THROW(fleet.add_tenant(instant_tenant("", a.pb)), std::invalid_argument);
 
   fleet.add_tenant(instant_tenant("wan-us", a.pb));
   EXPECT_THROW(fleet.add_tenant(instant_tenant("wan-us", b.pb)),

@@ -4,19 +4,22 @@
 // any number of test binaries — and any number of fixtures within one binary
 // — run in parallel under `ctest -j` without ever colliding on an address.
 // Teardown order matters and the fixture owns it: the net server goes down
-// first (member order: backend before server → destruction joins the I/O
+// first (member order: fleet before server → destruction joins the I/O
 // thread before the replicas), so no session can submit into a destroyed
 // backend.
 #pragma once
 
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/client.h"
 #include "net/server.h"
+#include "serve/fleet.h"
 #include "serve/replica.h"
 #include "serve/server.h"
 #include "te/problem.h"
@@ -46,19 +49,39 @@ inline NetSetup net_setup(const std::string& topo_name, int n_demands = 120,
   return NetSetup{std::move(pb), std::move(trace)};
 }
 
-// serve::Server + net::Server on an ephemeral loopback port.
+// A one-tenant serve::Fleet (tenant = the topology name, static placement of
+// exactly the given replicas) + net::Server on an ephemeral loopback port.
+// `backend` is that tenant's serve::Server.
 struct NetFixture {
   const te::Problem& pb;
-  serve::Server backend;
+  serve::Fleet fleet;
+  serve::Server& backend;
   net::Server server;
 
   NetFixture(const te::Problem& problem, std::vector<serve::ReplicaPtr> replicas,
              serve::ServeConfig serve_cfg = {}, net::NetServerConfig net_cfg = {})
       : pb(problem),
-        backend(problem, std::move(replicas), serve_cfg),
-        server(backend, problem, net_cfg) {}
+        fleet(serve::FleetConfig{0, "static", nullptr}),
+        backend(start_one_tenant(fleet, problem, std::move(replicas), serve_cfg)),
+        server(fleet, net_cfg) {}
 
   net::Client connect() { return net::Client("127.0.0.1", server.port()); }
+
+ private:
+  static serve::Server& start_one_tenant(serve::Fleet& fleet, const te::Problem& pb,
+                                         std::vector<serve::ReplicaPtr> replicas,
+                                         serve::ServeConfig serve_cfg) {
+    serve::TenantConfig tc;
+    tc.name = pb.graph().name();
+    tc.pb = &pb;
+    tc.serve = serve_cfg;
+    tc.requested_replicas = replicas.size();
+    auto built = std::make_shared<std::vector<serve::ReplicaPtr>>(std::move(replicas));
+    tc.make_replicas_fn = [built](std::size_t) { return std::move(*built); };
+    fleet.add_tenant(std::move(tc));
+    fleet.start();
+    return *fleet.route(pb.graph().name()).server;
+  }
 };
 
 // Polls `pred` until it holds or ~2 s pass — for the few assertions that

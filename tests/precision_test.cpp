@@ -285,10 +285,13 @@ TEST(Precision, ServedConfigAppliesAndRestoresPrecision) {
   auto trace = traffic::generate_trace(pb, tc);
   auto scheme = make_untrained(pb);
 
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
-  cfg.precision = te::Precision::f32;
-  auto res = sim::run_served(scheme, pb, trace, cfg);
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 1;
+  sim::ServedFleetResult::Tenant res;
+  {
+    te::Scheme::ScopedPrecision f32(scheme, te::Precision::f32);
+    res = sim::run_served_fleet({{"B4", &pb, &trace, &scheme}}, cfg).tenants[0];
+  }
   EXPECT_EQ(res.stats.completed, res.stats.accepted);
   EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
 
@@ -319,10 +322,13 @@ TEST(Precision, OnlineAndServedConfigsPlumbBf16) {
   EXPECT_EQ(static_cast<int>(ores.intervals.size()), trace.size());
   EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
 
-  sim::ServedConfig scfg;
-  scfg.n_replicas = 1;
-  scfg.precision = te::Precision::bf16;
-  auto sres = sim::run_served(scheme, pb, trace, scfg);
+  sim::ServedFleetConfig scfg;
+  scfg.total_replicas = 1;
+  sim::ServedFleetResult::Tenant sres;
+  {
+    te::Scheme::ScopedPrecision bf16(scheme, te::Precision::bf16);
+    sres = sim::run_served_fleet({{"B4", &pb, &trace, &scheme}}, scfg).tenants[0];
+  }
   EXPECT_EQ(sres.stats.completed, sres.stats.accepted);
   EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
 

@@ -23,6 +23,7 @@
 #include "core/shard.h"
 #include "core/teal_scheme.h"
 #include "scenario/scenario.h"
+#include "te/objective.h"
 #include "topo/topo_io.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
@@ -568,8 +569,8 @@ TEST(ScenarioFailures, StateStepJumpAndReplayAgree) {
   EXPECT_EQ(starts.size(), intervals.size());
 }
 
-// Regression: run_scenario writes each epoch's capacities — including the
-// 0.0 of a failed link — back into the live graph before querying the next
+// Regression: a caller may write each epoch's capacities — including the 0.0
+// of a failed link — back into the live graph before querying the next
 // epoch. FailureState must restore the *pre-failure* capacity on repair from
 // its construction-time snapshot, not re-read the (zeroed) live graph.
 TEST(ScenarioFailures, RepairRestoresPreFailureCapacityAfterGraphMutation) {
@@ -595,7 +596,7 @@ TEST(ScenarioFailures, RepairRestoresPreFailureCapacityAfterGraphMutation) {
                                                       {4, false, fwd, rev}};
   scenario::FailureState state(g, events);
 
-  // The run_scenario interleave: apply epoch capacities to the graph, then
+  // That interleave: apply epoch capacities to the graph, then
   // ask for the next epoch.
   for (int t : {0, 4}) {
     const auto& caps = state.capacities_at(t);
@@ -695,15 +696,16 @@ TEST(ScenarioDriver, ColdSchemesAndFactoriesResolveByName) {
 }
 
 TEST(ScenarioDriver, RunScenarioBalancesLedgerAndRestoresCapacities) {
-  auto sc = scenario::build_scenario(scenario::named_scenario("rolling-failure", 60));
+  std::vector<scenario::Scenario> one;
+  one.push_back(scenario::build_scenario(scenario::named_scenario("rolling-failure", 60)));
+  auto& sc = one[0];
   ASSERT_FALSE(sc.failures.empty());
   const auto caps_before = sc.pb.capacities();
 
-  auto scheme = make_teal(sc.pb);
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 1;
   cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-  const auto res = scenario::run_scenario(scheme, sc, cfg);
+  const auto res = scenario::run_scenario_fleet(one, "Teal", cfg).tenants[0];
 
   EXPECT_GT(res.n_epochs, 1);  // churn actually split the replay
   EXPECT_EQ(res.stats.offered, static_cast<std::uint64_t>(sc.trace.size()));
@@ -725,15 +727,16 @@ TEST(ScenarioDriver, RunScenarioBalancesLedgerAndRestoresCapacities) {
 }
 
 TEST(ScenarioDriver, RollingFailureReplayBitIdenticalAcrossReplicaCounts) {
-  auto sc = scenario::build_scenario(scenario::named_scenario("rolling-failure", 60));
-  auto scheme = make_teal(sc.pb);
+  std::vector<scenario::Scenario> one;
+  one.push_back(scenario::build_scenario(scenario::named_scenario("rolling-failure", 60)));
+  auto& sc = one[0];
 
-  std::vector<scenario::ScenarioRunResult> runs;
+  std::vector<scenario::FleetScenarioResult::Tenant> runs;
   for (std::size_t replicas : {1u, 2u, 3u}) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = replicas;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = replicas;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-    runs.push_back(scenario::run_scenario(scheme, sc, cfg));
+    runs.push_back(scenario::run_scenario_fleet(one, "Teal", cfg).tenants[0]);
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].allocs.size(), runs[0].allocs.size());
@@ -749,13 +752,16 @@ TEST(ScenarioDriver, RollingFailureReplayBitIdenticalAcrossReplicaCounts) {
 }
 
 // Regression (end to end): after a failed link repairs, the post-repair
-// epochs of a run_scenario replay must be bit-identical to a run with no
+// epochs of a scenario replay must be bit-identical to a run with no
 // failures at all — the repair restored the pre-failure capacity, not the
-// zero that run_scenario wrote into the live graph during the outage.
+// zero the replay wrote into the live graph during the outage.
 TEST(ScenarioDriver, PostRepairEpochsMatchNoFailureRun) {
   const auto spec = scenario::named_scenario("baseline", 36);
-  auto plain = scenario::build_scenario(spec);
-  auto failing = scenario::build_scenario(spec);  // bit-identical twin
+  std::vector<scenario::Scenario> plain_one, failing_one;
+  plain_one.push_back(scenario::build_scenario(spec));
+  failing_one.push_back(scenario::build_scenario(spec));  // bit-identical twin
+  auto& plain = plain_one[0];
+  auto& failing = failing_one[0];
 
   // Fail the highest-capacity physical link: in the calibrated (congested)
   // regime LP-all certainly routes over it, so the outage epochs differ and
@@ -777,16 +783,14 @@ TEST(ScenarioDriver, PostRepairEpochsMatchNoFailureRun) {
   const int t_fail = 2, t_repair = 6;
   failing.failures = {{t_fail, true, fwd, rev}, {t_repair, false, fwd, rev}};
 
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 1;
   cfg.serve.queue_capacity = static_cast<std::size_t>(plain.trace.size());
-  auto run = [&](scenario::Scenario& sc) {
-    auto scheme = scenario::make_cold_scheme("LP-all", sc.pb);
-    return scenario::run_scenario(*scheme, sc, cfg,
-                                  scenario::cold_scheme_factory("LP-all", sc.pb));
+  auto run = [&](std::vector<scenario::Scenario>& one) {
+    return scenario::run_scenario_fleet(one, "LP-all", cfg).tenants[0];
   };
-  const auto r_plain = run(plain);
-  const auto r_fail = run(failing);
+  const auto r_plain = run(plain_one);
+  const auto r_fail = run(failing_one);
 
   EXPECT_EQ(r_plain.n_epochs, 1);
   EXPECT_EQ(r_fail.n_epochs, 3);
@@ -817,17 +821,18 @@ TEST(ScenarioDriver, TwiceAsnScaleShardAndReplicaBitIdentity) {
   scenario::ScenarioSpec spec = scenario::named_scenario("baseline", 3600);
   spec.n_demands = 250;  // demand-capped, full topology (substitution #5)
   spec.traffic.n_intervals = 3;
-  auto sc = scenario::build_scenario(spec);
+  std::vector<scenario::Scenario> one;
+  one.push_back(scenario::build_scenario(spec));
+  auto& sc = one[0];
   ASSERT_GE(sc.pb.graph().num_nodes(), 2 * 1739);
   ASSERT_TRUE(sc.pb.graph().is_strongly_connected());
 
-  auto scheme = make_teal(sc.pb);
   auto run = [&](std::size_t replicas, int shards) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = replicas;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = replicas;
     cfg.shard_count = shards;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-    return scenario::run_scenario(scheme, sc, cfg);
+    return scenario::run_scenario_fleet(one, "Teal", cfg).tenants[0];
   };
 
   const auto ref = run(1, 1);  // one replica, sequential solve
@@ -851,42 +856,118 @@ TEST(ScenarioDriver, TwiceAsnScaleShardAndReplicaBitIdentity) {
 }
 
 TEST(ScenarioDriver, FleetReplayMatchesSingleTenantRunsBitIdentically) {
+  const std::vector<scenario::ScenarioSpec> specs = {
+      scenario::named_scenario("baseline", 40), scenario::named_scenario("diurnal", 50)};
   std::vector<scenario::Scenario> scenarios;
-  scenarios.push_back(scenario::build_scenario(scenario::named_scenario("baseline", 40)));
-  scenarios.push_back(scenario::build_scenario(scenario::named_scenario("diurnal", 50)));
+  for (const auto& spec : specs) scenarios.push_back(scenario::build_scenario(spec));
 
   sim::ServedFleetConfig fcfg;
   fcfg.total_replicas = 3;
   fcfg.serve.queue_capacity = 64;
   const auto fleet = scenario::run_scenario_fleet(scenarios, "Teal", fcfg);
-  ASSERT_EQ(fleet.served.tenants.size(), 2u);
-  ASSERT_EQ(fleet.mean_satisfied_pct.size(), 2u);
+  ASSERT_EQ(fleet.tenants.size(), 2u);
 
   // Replica/shard counts are latency knobs, so each tenant's fleet allocs
   // must equal a dedicated single-tenant replay bit for bit.
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    auto& sc = scenarios[i];
-    auto scheme = make_teal(sc.pb);
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
+    std::vector<scenario::Scenario> one;
+    one.push_back(scenario::build_scenario(specs[i]));  // bit-identical twin
+    auto& sc = one[0];
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-    const auto solo = scenario::run_scenario(scheme, sc, cfg);
-    const auto& tenant = fleet.served.tenants[i];
+    const auto solo = scenario::run_scenario_fleet(one, "Teal", cfg).tenants[0];
+    const auto& tenant = fleet.tenants[i];
     ASSERT_EQ(tenant.allocs.size(), solo.allocs.size());
     for (std::size_t t = 0; t < solo.allocs.size(); ++t) {
       ASSERT_TRUE(tenant.accepted[t] && solo.accepted[t]);
       expect_bit_identical(tenant.allocs[t], solo.allocs[t],
                            sc.name + " t=" + std::to_string(t));
     }
-    EXPECT_GT(fleet.mean_satisfied_pct[i], 0.0);
+    EXPECT_GT(tenant.mean_satisfied_pct, 0.0);
+  }
+}
+
+// Failure churn in a shared fleet: the rolling-failure tenant drains and
+// re-capacitates between its epochs while the baseline tenant keeps solving.
+// Each tenant's replay must equal its one-tenant replay bit for bit, every
+// scenario's capacities must come back byte-identical, and both per-tenant
+// ledgers must balance.
+TEST(ScenarioDriver, FleetReplayCarriesFailureChurnPerTenant) {
+  const std::vector<scenario::ScenarioSpec> specs = {
+      scenario::named_scenario("rolling-failure", 40),
+      scenario::named_scenario("baseline", 40)};
+  std::vector<scenario::Scenario> scenarios;
+  for (const auto& spec : specs) scenarios.push_back(scenario::build_scenario(spec));
+  ASSERT_FALSE(scenarios[0].failures.empty());
+  ASSERT_TRUE(scenarios[1].failures.empty());
+  const auto caps_before_0 = scenarios[0].pb.capacities();
+  const auto caps_before_1 = scenarios[1].pb.capacities();
+
+  sim::ServedFleetConfig fcfg;
+  fcfg.total_replicas = 3;
+  fcfg.serve.queue_capacity = 64;
+  const auto fleet = scenario::run_scenario_fleet(scenarios, "Teal", fcfg);
+  ASSERT_EQ(fleet.tenants.size(), 2u);
+  EXPECT_GT(fleet.tenants[0].n_epochs, 1);  // churn actually split the replay
+  EXPECT_EQ(fleet.tenants[1].n_epochs, 1);
+
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto& sc = scenarios[i];
+    const auto& tenant = fleet.tenants[i];
+    const auto n = static_cast<std::size_t>(sc.trace.size());
+    EXPECT_EQ(tenant.stats.offered, n) << sc.name;
+    EXPECT_EQ(tenant.stats.accepted + tenant.stats.shed, tenant.stats.offered) << sc.name;
+    EXPECT_EQ(tenant.stats.completed, tenant.stats.accepted) << sc.name;
+
+    std::vector<scenario::Scenario> one;
+    one.push_back(scenario::build_scenario(specs[i]));  // bit-identical twin
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
+    cfg.serve.queue_capacity = n;
+    const auto solo = scenario::run_scenario_fleet(one, "Teal", cfg).tenants[0];
+    EXPECT_EQ(tenant.n_epochs, solo.n_epochs) << sc.name;
+    ASSERT_EQ(tenant.allocs.size(), n);
+    ASSERT_EQ(solo.allocs.size(), n);
+    ASSERT_EQ(tenant.satisfied_pct.size(), n);
+    ASSERT_EQ(solo.satisfied_pct.size(), n);
+    scenario::FailureState state(sc.pb.graph(), sc.failures);  // epoch capacities
+    for (std::size_t t = 0; t < n; ++t) {
+      ASSERT_TRUE(tenant.accepted[t] && solo.accepted[t]);
+      expect_bit_identical(tenant.allocs[t], solo.allocs[t],
+                           sc.name + " t=" + std::to_string(t));
+      EXPECT_EQ(tenant.satisfied_pct[t], solo.satisfied_pct[t]) << sc.name << " t=" << t;
+      const int ti = static_cast<int>(t);
+      EXPECT_EQ(tenant.satisfied_pct[t],
+                te::satisfied_demand_pct(sc.pb, sc.trace.at(ti), tenant.allocs[t],
+                                         &state.capacities_at(ti)))
+          << sc.name << " scored under the wrong capacities at t=" << t;
+    }
   }
 
-  // Failure schedules have no epoch boundary in the merged fleet clock.
-  std::vector<scenario::Scenario> with_failures;
-  with_failures.push_back(
-      scenario::build_scenario(scenario::named_scenario("rolling-failure", 40)));
-  EXPECT_THROW(scenario::run_scenario_fleet(with_failures, "Teal", fcfg),
-               std::invalid_argument);
+  const auto caps_after_0 = scenarios[0].pb.capacities();
+  const auto caps_after_1 = scenarios[1].pb.capacities();
+  ASSERT_EQ(caps_after_0.size(), caps_before_0.size());
+  ASSERT_EQ(caps_after_1.size(), caps_before_1.size());
+  EXPECT_EQ(std::memcmp(caps_before_0.data(), caps_after_0.data(),
+                        caps_before_0.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(caps_before_1.data(), caps_after_1.data(),
+                        caps_before_1.size() * sizeof(double)),
+            0);
+}
+
+// A tenant whose capacities change between epochs must own its problem: a
+// second tenant on the same problem would solve under the wrong capacities.
+TEST(ScenarioDriver, FleetReplayRejectsEpochsOnASharedProblem) {
+  auto sc = scenario::build_scenario(scenario::named_scenario("baseline", 30));
+  auto scheme = make_teal(sc.pb);
+  sim::ServedTenant a{"a", &sc.pb, &sc.trace, &scheme};
+  a.epochs.push_back(sim::CapacityEpoch{0, sc.pb.capacities()});
+  const sim::ServedTenant b{"b", &sc.pb, &sc.trace, &scheme};
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 2;
+  EXPECT_THROW(sim::run_served_fleet({a, b}, cfg), std::invalid_argument);
 }
 
 // ---- Latent-assumption audit regressions ------------------------------------

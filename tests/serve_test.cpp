@@ -70,10 +70,10 @@ void expect_ledger_balanced(const serve::ServeStats& s) {
 TEST(Serve, ServedResultsMatchSequentialTeal) {
   auto s = b4_setup();
   auto scheme = make_teal(s.pb);
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 3;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 3;
   cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-  auto res = sim::run_served(scheme, s.pb, s.trace, cfg);
+  auto res = sim::run_served_fleet({{"B4", &s.pb, &s.trace, &scheme}}, cfg).tenants[0];
   ASSERT_EQ(static_cast<int>(res.allocs.size()), s.trace.size());
   expect_ledger_balanced(res.stats);
   EXPECT_EQ(res.stats.shed, 0u);
@@ -88,11 +88,14 @@ TEST(Serve, ServedResultsMatchSequentialTeal) {
 TEST(Serve, ServedResultsMatchSequentialLpViaFactory) {
   auto s = b4_setup();
   baselines::LpAllScheme reference;
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 2;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 2;
   cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-  auto res = sim::run_served(reference, s.pb, s.trace, cfg,
-                             [] { return std::make_unique<baselines::LpAllScheme>(); });
+  auto res = sim::run_served_fleet(
+                 {{"B4", &s.pb, &s.trace, &reference,
+                   [] { return std::make_unique<baselines::LpAllScheme>(); }}},
+                 cfg)
+                 .tenants[0];
   expect_ledger_balanced(res.stats);
   EXPECT_EQ(res.stats.shed, 0u);
   for (int t = 0; t < s.trace.size(); ++t) {

@@ -213,11 +213,11 @@ TEST(Shard, ServedShardedMatchesSequential) {
   auto s = topo_setup("B4");
   auto scheme = make_teal(s.pb);
   for (int shard_count : {0, 4}) {  // auto and explicit
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.shard_count = shard_count;
     cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-    auto res = sim::run_served(scheme, s.pb, s.trace, cfg);
+    auto res = sim::run_served_fleet({{"B4", &s.pb, &s.trace, &scheme}}, cfg).tenants[0];
     EXPECT_EQ(res.stats.shed, 0u);
     for (int t = 0; t < s.trace.size(); ++t) {
       ASSERT_TRUE(res.accepted[static_cast<std::size_t>(t)]);

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "scenario/scenario.h"
 #include "topo/topo_io.h"
@@ -91,7 +92,9 @@ int main(int argc, char** argv) {
 
   try {
     scenario::ScenarioSpec spec = scenario::named_scenario(scenario_name, nodes, seed);
-    scenario::Scenario sc = scenario::build_scenario(spec);
+    std::vector<scenario::Scenario> one;  // --run replays a one-tenant fleet
+    one.push_back(scenario::build_scenario(spec));
+    const scenario::Scenario& sc = one[0];
     std::printf("scenario %s: %d nodes, %d links, %d demands, %d intervals, "
                 "%zu failure events (seed %llu)\n",
                 sc.name.c_str(), sc.pb.graph().num_nodes(),
@@ -105,12 +108,10 @@ int main(int argc, char** argv) {
     }
 
     if (do_run) {
-      auto scheme = scenario::make_cold_scheme(scheme_name, sc.pb);
-      sim::ServedConfig cfg;
-      cfg.n_replicas = replicas;
+      sim::ServedFleetConfig cfg;
+      cfg.total_replicas = replicas;
       cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
-      auto res = scenario::run_scenario(
-          *scheme, sc, cfg, scenario::cold_scheme_factory(scheme_name, sc.pb));
+      const auto res = scenario::run_scenario_fleet(one, scheme_name, cfg).tenants[0];
       std::printf("%s x %s: %d epochs, satisfied %s%%, offered %llu, shed %llu, "
                   "p50 %s ms, p99 %s ms\n",
                   scheme_name.c_str(), sc.name.c_str(), res.n_epochs,

@@ -10,12 +10,14 @@
 //   ./build/teal_serve --topo B4 --port 7419 --replicas 2 \
 //       --deadline 0.05 --expected-solve 0.01
 //
-// Fleet mode: repeat --tenant name=topo[:weight] to serve several topology
-// slices from one process. The replica budget (--replicas, 0 = hardware
-// concurrency) is split across tenants by --policy (static | round-robin |
-// load-proportional); clients pick a slice with the wire tenant field
-// (teal_slap --tenant). The optional :weight is the tenant's relative offered
-// rate, the load-proportional policy's demand signal.
+// Every run serves a serve::Fleet. --topo T alone is the one-tenant fleet
+// T=T; repeat --tenant name=topo[:weight] instead to serve several topology
+// slices from one process. The replica budget (--replicas, default 2, 0 =
+// hardware concurrency) is split across tenants by --policy (static |
+// round-robin | load-proportional); clients pick a slice with the wire tenant
+// field (teal_slap --tenant), and the empty tenant is the first one. The
+// optional :weight is the tenant's relative offered rate, the
+// load-proportional policy's demand signal.
 //
 //   ./build/teal_serve --port 7419 --replicas 4 --policy load-proportional \
 //       --tenant us=B4:3 --tenant eu=SWAN:1
@@ -35,8 +37,6 @@
 #include "bench/common.h"
 #include "net/server.h"
 #include "serve/fleet.h"
-#include "serve/replica.h"
-#include "serve/server.h"
 
 namespace {
 
@@ -48,7 +48,7 @@ void on_signal(int) { g_stop = 1; }
                "usage: teal_serve [--topo B4|SWAN|UsCarrier|Kdl|ASN] [--port N]\n"
                "                  [--replicas N] [--queue N] [--deadline SEC]\n"
                "                  [--expected-solve SEC]\n"
-               "                  [--tenant NAME=TOPO[:WEIGHT]]...  (fleet mode)\n"
+               "                  [--tenant NAME=TOPO[:WEIGHT]]...  (instead of --topo)\n"
                "                  [--policy static|round-robin|load-proportional]\n");
   std::exit(2);
 }
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   std::string topo = "B4";
   int port = 7419;
   std::size_t replicas = 2;
-  bool replicas_given = false;
   std::string policy = "load-proportional";
   std::vector<TenantArg> tenant_args;
   serve::ServeConfig scfg;
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
       port = std::atoi(argv[i]);
     } else if (want("--replicas")) {
       replicas = static_cast<std::size_t>(std::atoi(argv[i]));
-      replicas_given = true;
     } else if (want("--queue")) {
       scfg.queue_capacity = static_cast<std::size_t>(std::atoi(argv[i]));
     } else if (want("--deadline")) {
@@ -117,57 +115,19 @@ int main(int argc, char** argv) {
       usage();
     }
   }
-  const bool fleet_mode = !tenant_args.empty();
-  if (port <= 0 || port > 65535 || (!fleet_mode && replicas == 0)) usage();
+  if (port <= 0 || port > 65535) usage();
+  if (tenant_args.empty()) tenant_args.push_back(TenantArg{topo, topo, 1.0});
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  if (!fleet_mode) {
-    auto inst = bench::make_instance(topo);
-    auto teal = bench::make_teal(*inst);
-    serve::Server backend(inst->pb, serve::make_replicas(*teal, replicas), scfg);
-    net::NetServerConfig ncfg;
-    ncfg.port = static_cast<std::uint16_t>(port);
-    net::Server server(backend, inst->pb, ncfg);
-    std::printf("teal_serve: %s (%d demands, k=%d), %zu replicas, port %u\n", topo.c_str(),
-                inst->pb.num_demands(), inst->pb.k_paths(), replicas, server.port());
-    if (backend.admission_depth_bound() > 0) {
-      std::printf("  admission: deadline %.3fs, depth bound %zu\n", scfg.deadline_seconds,
-                  backend.admission_depth_bound());
-    } else {
-      std::printf("  admission: none (queue bound %zu only)\n", scfg.queue_capacity);
-    }
-    std::fflush(stdout);
-
-    while (!g_stop) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-    server.stop();
-    auto net_stats = server.stats();
-    auto stats = backend.stop();
-    std::printf("\nteal_serve: stopped. connections %llu, requests %llu, responses %llu,\n"
-                "  shed %llu, dropped responses %llu, protocol errors %llu\n",
-                static_cast<unsigned long long>(net_stats.connections_accepted),
-                static_cast<unsigned long long>(net_stats.sessions.requests),
-                static_cast<unsigned long long>(net_stats.sessions.responses),
-                static_cast<unsigned long long>(net_stats.sessions.shed),
-                static_cast<unsigned long long>(net_stats.dropped_responses),
-                static_cast<unsigned long long>(net_stats.sessions.protocol_errors));
-    std::printf("  backend: offered %llu = accepted %llu + shed %llu; solve p50 %.3f ms\n",
-                static_cast<unsigned long long>(stats.offered),
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.shed),
-                stats.solve.percentile(50.0) * 1e3);
-    return 0;
-  }
-
-  // Fleet mode: one instance + trained scheme per tenant, replicas assigned
-  // by the placement policy over the shared budget.
+  // One instance + trained scheme per tenant, replicas assigned by the
+  // placement policy over the shared budget.
   std::vector<std::unique_ptr<bench::Instance>> instances;
   std::vector<std::unique_ptr<core::TealScheme>> schemes;
   serve::FleetConfig fcfg;
   fcfg.policy = policy;
-  fcfg.total_replicas = replicas_given ? replicas : 0;  // 0 = hardware concurrency
+  fcfg.total_replicas = replicas;  // 0 = hardware concurrency
   serve::Fleet fleet(std::move(fcfg));
   for (const TenantArg& ta : tenant_args) {
     auto inst = bench::make_instance(ta.topo);
