@@ -93,8 +93,8 @@ std::unique_ptr<core::TealScheme> make_teal(Instance& inst, te::Objective obj,
   // models must be identical on every host (the determinism contract). Only
   // the worker count — pure throughput, bit-identical for every value — may
   // vary per machine (TEAL_TRAIN_WORKERS; 0/garbage = auto).
-  opts.rollout_batch = 4;
-  opts.workers =
+  opts.coma.rollout_batch = 4;
+  opts.coma.workers =
       static_cast<int>(util::pool_threads_from_env(std::getenv("TEAL_TRAIN_WORKERS")));
   opts.cache_path = model_cache_path(inst.name, obj);
   return core::make_teal_scheme(inst.pb, inst.split.train, cfg, opts);

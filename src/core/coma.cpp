@@ -133,8 +133,7 @@ TrainStats train_coma(Model& model, const te::Problem& pb, const traffic::Trace&
         const te::TrafficMatrix& tm = train.at(t);
         auto& slot = ctx.slot(s);
 
-        // Forward through the slot's workspace (allocation-free once warm;
-        // models without the seam fall back to forward_m internally).
+        // Forward through the slot's workspace (allocation-free once warm).
         model.forward_ws(pb, tm, &caps, slot.ws.fwd, plan, nullptr);
         const nn::Mat& logits = slot.ws.fwd.logits;
         const nn::Mat& mask = slot.ws.fwd.mask;
@@ -210,18 +209,12 @@ TrainStats train_coma(Model& model, const te::Problem& pb, const traffic::Trace&
           }
         });
 
-        if (ctx.ws_path()) {
-          slot.grads.zero();
-          model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
-                            slot.grads.refs());
-        } else {
-          // Legacy models: sequential by construction (workers forced to 1),
-          // accumulate straight into Param::g.
-          model.backward_m(pb, slot.ws.fwd, slot.grad_logits);
-        }
+        slot.grads.zero();
+        model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
+                          slot.grads.refs());
       });
 
-      if (ctx.ws_path()) ctx.reduce(n_active);
+      ctx.reduce(n_active);
       adam.clip_grad_norm(cfg.grad_clip);
       adam.step();
       for (int s = 0; s < n_active; ++s) reward_sum += ctx.slot(s).stat;

@@ -98,16 +98,12 @@ DirectLossStats train_direct_loss(Model& model, const te::Problem& pb,
         });
         nn::softmax_rows_backward(slot.ws.splits, slot.grad_splits, slot.grad_logits);
 
-        if (ctx.ws_path()) {
-          slot.grads.zero();
-          model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
-                            slot.grads.refs());
-        } else {
-          model.backward_m(pb, slot.ws.fwd, slot.grad_logits);
-        }
+        slot.grads.zero();
+        model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
+                          slot.grads.refs());
       });
 
-      if (ctx.ws_path()) ctx.reduce(n_active);
+      ctx.reduce(n_active);
       adam.clip_grad_norm(cfg.grad_clip);
       adam.step();
       for (int s = 0; s < n_active; ++s) surrogate_sum += ctx.slot(s).stat;

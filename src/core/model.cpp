@@ -2,6 +2,27 @@
 
 namespace teal::core {
 
+void Model::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                       const std::vector<double>* capacities, ModelForward& fwd) const {
+  const int nd = pb.num_demands();
+  forward_ws(pb, tm, capacities, fwd,
+             ShardPlan::make(nd, auto_shard_count(nd, pb.total_paths())));
+}
+
+ModelForward Model::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
+                              const std::vector<double>* capacities) const {
+  ModelForward out;
+  forward_ws(pb, tm, capacities, out);
+  return out;
+}
+
+void Model::backward_m(const te::Problem& pb, const ModelForward& fwd,
+                       const nn::Mat& grad_logits) {
+  TrainBackward bws;
+  const std::vector<nn::Mat*> grads = nn::grad_targets(params());
+  backward_ws(pb, fwd, grad_logits, bws, grads);
+}
+
 TealModel::TealModel(const TealModelConfig& cfg, int k_paths, std::uint64_t seed)
     : cfg_(cfg), k_(k_paths), init_rng_(seed),
       gnn_(cfg.gnn, k_paths, init_rng_),
@@ -36,11 +57,7 @@ void TealModel::forward_narrowed(const te::Problem& pb, const te::TrafficMatrix&
   // narrowed cache is a ForwardF; the f64 path must never reinterpret it).
   // f32 and bf16 share the cache: same type, every activation fully
   // rewritten per forward.
-  if (out.owner != &narrow_owner_tag_ || out.cache == nullptr || out.cache.use_count() != 1) {
-    out.cache = std::make_shared<ForwardF>();
-    out.owner = &narrow_owner_tag_;
-  }
-  auto* typed = static_cast<ForwardF*>(out.cache.get());
+  auto* typed = &owned_cache<ForwardF>(out, &narrow_owner_tag_);
   gnn_.forward(pb, tm, capacities, typed->gnn, p, shards, stats);
   // Fused per-demand tail: input assembly (float), policy forward (float),
   // and the logit widening back to the caller's f64 matrices — each shard
@@ -70,30 +87,10 @@ std::vector<nn::Param*> TealModel::params() {
   return ps;
 }
 
-ModelForward TealModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                  const std::vector<double>* capacities) const {
-  ModelForward out;
-  forward_ws(pb, tm, capacities, out);
-  return out;
-}
-
-void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                           const std::vector<double>* capacities, ModelForward& out) const {
-  const int nd = pb.num_demands();
-  forward_ws(pb, tm, capacities, out,
-             ShardPlan::make(nd, auto_shard_count(nd, pb.total_paths())));
-}
-
 void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ModelForward& out,
                            const ShardPlan& shards, ShardStat* stats) const {
-  // A shared cache (use_count > 1) must not be overwritten in place — another
-  // ModelForward may still need it for backward. Start fresh instead.
-  if (out.owner != this || out.cache == nullptr || out.cache.use_count() != 1) {
-    out.cache = std::make_shared<Forward>();
-    out.owner = this;
-  }
-  auto* typed = static_cast<Forward*>(out.cache.get());
+  auto* typed = &owned_cache<Forward>(out, this);
   forward(pb, tm, capacities, *typed, shards, stats);
   out.logits = typed->policy.logits;  // capacity-reusing copies
   out.mask = typed->mask;
@@ -113,11 +110,7 @@ void TealModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
   if (grads.size() != gnn_.num_params() + policy_.num_params()) {
     throw std::invalid_argument("TealModel::backward_ws: grads size mismatch");
   }
-  if (bws.owner != this || bws.cache == nullptr || bws.cache.use_count() != 1) {
-    bws.cache = std::make_shared<BackwardCache>();
-    bws.owner = this;
-  }
-  auto* ws = static_cast<BackwardCache*>(bws.cache.get());
+  auto* ws = &owned_cache<BackwardCache>(bws, this);
   const auto* typed = static_cast<const Forward*>(fwd.cache.get());
   policy_.backward_ws(typed->policy, grad_logits, ws->policy, ws->grad_input,
                       grads.subspan(gnn_.num_params()));
@@ -126,13 +119,6 @@ void TealModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
   scatter_policy_input_grad(pb, ws->grad_input, k_, gnn_.final_dim(), ws->grad_paths);
   gnn_.backward_ws(pb, typed->gnn, ws->grad_paths, ws->gnn,
                    grads.subspan(0, gnn_.num_params()));
-}
-
-void TealModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
-                           const nn::Mat& grad_logits) {
-  TrainBackward bws;
-  const std::vector<nn::Mat*> grads = nn::grad_targets(params());
-  backward_ws(pb, fwd, grad_logits, bws, grads);
 }
 
 nn::Mat splits_from_logits(const nn::Mat& logits, const nn::Mat& mask) {

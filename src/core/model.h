@@ -9,9 +9,11 @@
 // Layout: every module (FlowGnn, PolicyNet, TealModel) has one f64 forward
 // (the demand-sharded workspace forward), one narrowed forward keyed by
 // te::Precision (after prepare(p) snapshots the weights), and one backward
-// (backward_ws, which accumulates into caller-chosen gradient targets — the
-// per-rollout GradAccums of batched training, or Param::g itself behind the
-// Model::backward_m seam).
+// (backward_ws, which accumulates into caller-chosen gradient targets). Every
+// core::Model — TealModel and the Figure 14 ablation variants alike —
+// implements just the sharded forward_ws and backward_ws; forward_m,
+// backward_m and the auto-plan forward_ws are base-class conveniences over
+// them (backward_m targets Param::g itself).
 #pragma once
 
 #include <memory>
@@ -49,55 +51,61 @@ struct TrainBackward {
   const void* owner = nullptr;
 };
 
+// The typed cache behind a ModelForward or TrainBackward, reused when `tag`
+// produced it and nothing else shares it (use_count 1: a shared cache may
+// still be needed by another ModelForward's backward), otherwise replaced by
+// a fresh C tagged `tag`.
+template <typename C, typename Holder>
+C& owned_cache(Holder& h, const void* tag) {
+  if (h.owner != tag || h.cache == nullptr || h.cache.use_count() != 1) {
+    h.cache = std::make_shared<C>();
+    h.owner = tag;
+  }
+  return *static_cast<C*>(h.cache.get());
+}
+
 // Interface the trainers (COMA*, direct loss) and te::Scheme wrappers operate
 // on, so the same training loop drives Teal and every ablation variant
-// (§5.7).
+// (§5.7). The conveniences below the two pure virtuals are virtual only so
+// that forwarding wrappers can intercept them.
 class Model {
  public:
   virtual ~Model() = default;
 
-  virtual ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                 const std::vector<double>* capacities = nullptr) const = 0;
-  virtual void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                          const nn::Mat& grad_logits) = 0;
+  // The forward: re-runs the model into `fwd`, reusing its cache through
+  // owned_cache so warm calls allocate nothing. Per-demand stages may fan
+  // out over `shards`, writing disjoint rows of `fwd`; results must be
+  // bit-identical for every plan and concurrent calls with distinct `fwd`
+  // objects must be safe.
+  virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                          const std::vector<double>* capacities, ModelForward& fwd,
+                          const ShardPlan& shards, ShardStat* stats = nullptr) const = 0;
+
+  // The backward: accumulates parameter grads into `grads` (params() order)
+  // and keeps its grad temporaries in `bws`, so warm steps allocate nothing.
+  // const, so rollout workers with distinct (fwd, bws, grads) triples may run
+  // concurrently over one shared model. Throws std::logic_error when `fwd`
+  // was not produced by this model's f64 forward, std::invalid_argument when
+  // `grads` does not hold one target per parameter.
+  virtual void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                           const nn::Mat& grad_logits, TrainBackward& bws,
+                           nn::GradRefs grads) const = 0;
   virtual std::vector<nn::Param*> params() = 0;
   virtual int k_paths() const = 0;
 
-  // Workspace-based forward: re-runs the model into `fwd`, reusing its cache
-  // when this model produced it (TealModel makes repeated calls allocation-
-  // free). Must be safe to call concurrently with distinct `fwd` objects.
-  // Default falls back to the allocating forward_m.
+  // forward_ws under the auto shard plan.
   virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                          const std::vector<double>* capacities, ModelForward& fwd) const {
-    fwd = forward_m(pb, tm, capacities);
-  }
-
-  // Demand-sharded workspace forward: per-demand stages fan out over
-  // `shards`, writing disjoint rows of `fwd`. Results must be bit-identical
-  // for every shard plan. Default ignores the plan — the Figure 14 ablation
-  // variants have no per-demand decomposition to shard.
-  virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                          const std::vector<double>* capacities, ModelForward& fwd,
-                          const ShardPlan& /*shards*/, ShardStat* /*stats*/ = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd);
-  }
-
-  // Workspace training seam. supports_train_ws() gates the batched trainer
-  // pipeline: when true, backward_ws() must run the same arithmetic as
-  // backward_m() but (a) keep its grad temporaries in `bws` so warm steps
-  // allocate nothing, and (b) accumulate parameter grads into `grads`
-  // (params() order) instead of Param::g — const, so rollout workers with
-  // distinct (fwd, bws, grads) triples may run concurrently over one shared
-  // model. Models without the seam (the Figure 14 ablation variants) train
-  // through the sequential backward_m fallback path instead.
-  virtual bool supports_train_ws() const { return false; }
-  virtual void backward_ws(const te::Problem& /*pb*/, const ModelForward& /*fwd*/,
-                           const nn::Mat& /*grad_logits*/, TrainBackward& /*bws*/,
-                           nn::GradRefs /*grads*/) const {
-    throw std::logic_error(
-        "Model::backward_ws: this model has no workspace training path "
-        "(supports_train_ws() is false)");
-  }
+                          const std::vector<double>* capacities, ModelForward& fwd) const;
+  // forward_ws into a fresh ModelForward.
+  virtual ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
+                                 const std::vector<double>* capacities = nullptr) const;
+  // backward_ws into the parameters' own Param::g, with throwaway scratch.
+  virtual void backward_m(const te::Problem& pb, const ModelForward& fwd,
+                          const nn::Mat& grad_logits);
+  // Always true, and read by nothing in src/: every model trains through
+  // backward_ws. It stays only because perfbench's StepClock wrapper
+  // (perfbench/src/swan_train.cpp) overrides it.
+  virtual bool supports_train_ws() const { return true; }
 
   // Narrowed inference forward (the paper's fp32 deployment precision, plus
   // bf16 weight storage): runs the NN arithmetic in float through weight
@@ -164,13 +172,9 @@ class TealModel : public Model {
                const std::vector<double>* capacities, Forward& fwd,
                const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // Model interface. forward_m and the 4-argument forward_ws run forward()
-  // under the auto shard plan; backward_m runs backward_ws() with the
-  // parameters' own Param::g as the gradient targets.
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                  const std::vector<double>* capacities, ModelForward& fwd) const override;
+  // Model interface: the sharded forward_ws runs forward() into the typed
+  // cache behind `fwd`.
+  using Model::forward_ws;
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities, ModelForward& fwd,
                   const ShardPlan& shards, ShardStat* stats = nullptr) const override;
@@ -182,9 +186,6 @@ class TealModel : public Model {
                         const std::vector<double>* capacities, ModelForward& fwd,
                         te::Precision p, const ShardPlan& shards,
                         ShardStat* stats = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
-  bool supports_train_ws() const override { return true; }
   void backward_ws(const te::Problem& pb, const ModelForward& fwd,
                    const nn::Mat& grad_logits, TrainBackward& bws,
                    nn::GradRefs grads) const override;

@@ -182,15 +182,9 @@ void train_or_load_model(Model& model, const te::Problem& pb, const traffic::Tra
                          te::Objective objective, const TealTrainOptions& opts) {
   if (!opts.cache_path.empty() && model.load(opts.cache_path)) return;
   if (opts.trainer == Trainer::kComaStar) {
-    ComaConfig cfg = opts.coma;
-    if (opts.workers >= 0) cfg.workers = opts.workers;
-    if (opts.rollout_batch > 0) cfg.rollout_batch = opts.rollout_batch;
-    train_coma(model, pb, train, objective, cfg);
+    train_coma(model, pb, train, objective, opts.coma);
   } else {
-    DirectLossConfig cfg = opts.direct;
-    if (opts.workers >= 0) cfg.workers = opts.workers;
-    if (opts.rollout_batch > 0) cfg.rollout_batch = opts.rollout_batch;
-    train_direct_loss(model, pb, train, objective, cfg);
+    train_direct_loss(model, pb, train, objective, opts.direct);
   }
   if (!opts.cache_path.empty()) {
     model.save(opts.cache_path);

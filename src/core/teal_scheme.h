@@ -185,15 +185,6 @@ struct TealTrainOptions {
   // If non-empty, load the model from this file when present (and save after
   // training otherwise) — trained models are reused across bench runs.
   std::string cache_path;
-  // Training parallelism knobs applied to whichever trainer runs (mirroring
-  // how sim::OnlineConfig carries the solve-side knobs): when >= 0 they
-  // override the per-trainer `workers` (0 = auto) and when > 0 the
-  // per-trainer `rollout_batch`. -1 / 0 leave the trainer configs untouched.
-  // `workers` is pure throughput (bit-identical parameters for every value);
-  // `rollout_batch` changes optimizer-step granularity — see
-  // core::TrainContext.
-  int workers = -1;
-  int rollout_batch = 0;
 };
 
 // Trains `model` with the selected trainer, or loads it from opts.cache_path

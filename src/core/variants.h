@@ -15,6 +15,10 @@
 //    emits *all* split logits. Parameter count scales with topology size; on
 //    large WANs construction exceeds a memory budget and throws, reproducing
 //    the paper's "memory errors" on ASN.
+//
+// Like TealModel, each implements only the sharded forward_ws and
+// backward_ws, so they train with the same rollout workers; only the global
+// policy's FlowGNN shards, the naive models ignore the plan.
 #pragma once
 
 #include "core/flow_gnn.h"
@@ -34,18 +38,21 @@ class NaiveDnnModel : public Model {
   // model is inherently tied to one topology and demand set.
   NaiveDnnModel(const NaiveDnnConfig& cfg, const te::Problem& pb, std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  using Model::forward_ws;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
   struct Cache;
+  struct BackwardCache;
   NaiveDnnConfig cfg_;
   int k_, n_demands_;
-  double volume_scale_;
   std::vector<nn::Linear> layers_;
 };
 
@@ -60,15 +67,19 @@ class NaiveGnnModel : public Model {
  public:
   NaiveGnnModel(const NaiveGnnConfig& cfg, const te::Problem& pb, std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  using Model::forward_ws;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
   struct Cache;
+  struct BackwardCache;
   NaiveGnnConfig cfg_;
   int k_;
   // Node features: [out-demand, in-demand, sum adjacent capacity] -> embed.
@@ -92,15 +103,19 @@ class GlobalPolicyModel : public Model {
   GlobalPolicyModel(const GlobalPolicyConfig& cfg, const te::Problem& pb,
                     std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  using Model::forward_ws;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
   struct Cache;
+  struct BackwardCache;
   GlobalPolicyConfig cfg_;
   int k_, total_paths_;
   FlowGnn gnn_;

@@ -26,10 +26,6 @@ void Linear::forward_rows(const Mat& x, Mat& y, int row_begin, int row_end) cons
   linear_forward_rows(x, weight_.w, bias_.w.data(), y, row_begin, row_end);
 }
 
-void Linear::backward(const Mat& x, const Mat& gy, Mat& gx) {
-  linear_backward(x, weight_.w, gy, gx, weight_.g, bias_.g.data());
-}
-
 void Linear::backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const {
   linear_backward(x, weight_.w, gy, gx, gw, gb.data());
 }

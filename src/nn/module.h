@@ -113,13 +113,12 @@ class Linear {
   // Row-range forward for demand-sharded callers; `y` must be pre-sized to
   // (x.rows(), out_features()). Bit-identical to forward() per row.
   void forward_rows(const Mat& x, Mat& y, int row_begin, int row_end) const;
-  // Accumulates parameter grads and writes input grad.
-  void backward(const Mat& x, const Mat& gy, Mat& gx);
-  // Accumulator-seam backward: same arithmetic as backward(), but the
-  // parameter grads land in caller-owned buffers (gw shaped (out, in), gb
-  // shaped (1, out)) instead of this layer's Param::g. const because the
-  // layer itself stays read-only — concurrent calls with distinct targets
-  // are safe, which is what fans batched training out across workers.
+  // The backward: writes the input grad `gx` and accumulates the parameter
+  // grads into caller-owned targets (gw shaped (out, in), gb shaped
+  // (1, out)) — this layer's own Param::g, or a per-rollout GradAccum. const
+  // because the layer itself stays read-only — concurrent calls with
+  // distinct targets are safe, which is what fans batched training out
+  // across workers.
   void backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const;
 
   // Narrows the current parameters into an f32 inference snapshot (row-major;

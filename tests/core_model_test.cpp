@@ -151,6 +151,26 @@ TEST(GlobalPolicyModel, EndToEndGradCheck) {
   expect_gradients_match_finite_differences(model, pb, tiny_tm());
 }
 
+TEST(NaiveDnnModel, EndToEndGradCheck) {
+  // Through the fully-connected stack from the raw traffic matrix.
+  auto pb = tiny_problem();
+  core::NaiveDnnConfig cfg;
+  cfg.hidden_dim = 16;
+  cfg.n_layers = 3;
+  core::NaiveDnnModel model(cfg, pb, 7);
+  expect_gradients_match_finite_differences(model, pb, tiny_tm());
+}
+
+TEST(NaiveGnnModel, EndToEndGradCheck) {
+  // Through the policy head, the endpoint scatter, the mean-aggregation
+  // message passing over WAN sites and the input projection.
+  auto pb = tiny_problem();
+  core::NaiveGnnConfig cfg;
+  cfg.n_layers = 3;
+  core::NaiveGnnModel model(cfg, pb, 7);
+  expect_gradients_match_finite_differences(model, pb, tiny_tm());
+}
+
 TEST(TealModel, MaskZeroesMissingPaths) {
   // A demand pair with fewer than 4 simple paths must get zero splits there.
   topo::Graph g("line");

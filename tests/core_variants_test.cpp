@@ -3,6 +3,11 @@
 // problems (the paper's "memory errors" on ASN).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/direct_loss.h"
 #include "core/teal_scheme.h"
 #include "core/variants.h"
@@ -109,6 +114,37 @@ TEST(Variants, PlugIntoTealScheme) {
   EXPECT_EQ(scheme.name(), "Teal w/ naive DNN");
   auto alloc = scheme.solve(s.pb, s.trace.at(0));
   EXPECT_NO_THROW(s.pb.validate_allocation(alloc));
+}
+
+// Each variant's backward reads its own typed forward cache, so it must
+// refuse a cache another model produced — here a TealModel's — with the
+// owner check (std::logic_error naming the cache), never by reinterpreting
+// it. A grads view of the wrong size is refused too.
+TEST(Variants, BackwardRejectsForeignCache) {
+  auto s = b4_setup();
+  core::TealModel teal(core::TealModelConfig{}, s.pb.k_paths(), 3);
+  const core::ModelForward foreign = teal.forward_m(s.pb, s.trace.at(0));
+  nn::Mat grad(s.pb.num_demands(), s.pb.k_paths(), 1.0);
+  core::GlobalPolicyConfig gcfg;
+  gcfg.hidden_dim = 16;
+  std::vector<std::unique_ptr<core::Model>> variants;
+  variants.push_back(std::make_unique<core::NaiveDnnModel>(core::NaiveDnnConfig{}, s.pb, 3));
+  variants.push_back(std::make_unique<core::NaiveGnnModel>(core::NaiveGnnConfig{}, s.pb, 3));
+  variants.push_back(std::make_unique<core::GlobalPolicyModel>(gcfg, s.pb, 3));
+  for (auto& model : variants) {
+    try {
+      model->backward_m(s.pb, foreign, grad);
+      ADD_FAILURE() << "a foreign forward cache was accepted";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "foreign cache reinterpreted (shape error): " << e.what();
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("forward cache"), std::string::npos) << e.what();
+    }
+    const core::ModelForward own = model->forward_m(s.pb, s.trace.at(0));
+    core::TrainBackward bws;
+    EXPECT_THROW(model->backward_ws(s.pb, own, grad, bws, nn::GradRefs{}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Variants, ComaTrainsNaiveGnn) {

@@ -448,10 +448,10 @@ TEST(Linear, ModuleGradCheck) {
     for (std::size_t i = 0; i < y.data().size(); ++i) s += y.data()[i] * coef.data()[i];
     return s;
   };
-  for (auto* p : lin.params()) p->zero_grad();
-  nn::Mat gx;
-  lin.backward(x, coef, gx);
   auto params = lin.params();
+  for (auto* p : params) p->zero_grad();
+  nn::Mat gx;
+  lin.backward_acc(x, coef, gx, params[0]->g, params[1]->g);
   check_grad(params[0]->w.data(), params[0]->g.data(), eval);
   check_grad(params[1]->w.data(), params[1]->g.data(), eval);
   check_grad(x.data(), gx.data(), eval);

@@ -19,6 +19,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -331,7 +333,6 @@ TEST(TrainWorkspace, ContextPrepareIsO1Allocations) {
     EXPECT_LE(allocs.count(), 5u)
         << "TrainContext spin-up must stay O(1) heap allocations";
   }
-  ASSERT_TRUE(ctx.ws_path());
   EXPECT_EQ(ctx.rollout_batch(), 4);
   {
     util::AllocCounter allocs;
@@ -341,22 +342,69 @@ TEST(TrainWorkspace, ContextPrepareIsO1Allocations) {
   }
 }
 
-// Models without the workspace seam (the Figure 14 ablation variants) fall
-// back to the sequential backward_m path: any worker request must produce
-// the same parameters as workers = 1 (the context forces sequential).
-TEST(TrainWorkspace, LegacyModelFallbackIsWorkerInvariant) {
-  auto s = topo_setup("B4", 60, 4);
-  core::NaiveGnnModel baseline({}, s.pb, 3);
-  core::NaiveGnnModel model({}, s.pb, 3);
-  ASSERT_FALSE(baseline.supports_train_ws());
+// The three Figure 14 ablation variants, freshly initialised from one seed.
+// The global policy's giant layer is kept narrow so the tests stay fast.
+std::vector<std::unique_ptr<core::Model>> make_variants(const te::Problem& pb) {
+  core::GlobalPolicyConfig gcfg;
+  gcfg.hidden_dim = 16;
+  std::vector<std::unique_ptr<core::Model>> out;
+  out.push_back(std::make_unique<core::NaiveDnnModel>(core::NaiveDnnConfig{}, pb, 3));
+  out.push_back(std::make_unique<core::NaiveGnnModel>(core::NaiveGnnConfig{}, pb, 3));
+  out.push_back(std::make_unique<core::GlobalPolicyModel>(gcfg, pb, 3));
+  return out;
+}
+const char* const kVariantNames[] = {"naive DNN", "naive GNN", "global policy"};
+
+// The ablation variants train through the same per-rollout accumulators as
+// TealModel, so the worker knob is pure throughput for them too.
+TEST(TrainWorkspace, VariantsWorkerCountInvariance) {
+  auto s = topo_setup("B4");
+  for (std::size_t v = 0; v < std::size(kVariantNames); ++v) {
+    const std::string name = kVariantNames[v];
+    {
+      auto baseline = make_variants(s.pb);
+      auto model = make_variants(s.pb);
+      core::ComaConfig cfg;
+      cfg.epochs = 2;
+      cfg.rollout_batch = 4;
+      cfg.workers = 1;
+      core::train_coma(*baseline[v], s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+      cfg.workers = 4;
+      core::train_coma(*model[v], s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+      expect_params_bit_identical(*model[v], *baseline[v], name + " coma workers=4");
+    }
+    {
+      auto baseline = make_variants(s.pb);
+      auto model = make_variants(s.pb);
+      core::DirectLossConfig cfg;
+      cfg.epochs = 2;
+      cfg.rollout_batch = 4;
+      cfg.workers = 1;
+      core::train_direct_loss(*baseline[v], s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+      cfg.workers = 4;
+      core::train_direct_loss(*model[v], s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+      expect_params_bit_identical(*model[v], *baseline[v], name + " direct workers=4");
+    }
+  }
+}
+
+// At one rollout per step the variants' training equals the per-matrix
+// reference over the Model conveniences (forward_m / backward_m) byte for
+// byte, exactly as TealModel's does.
+TEST(TrainWorkspace, VariantsMatchReferenceSingleWorker) {
+  auto s = topo_setup("B4");
+  auto trained = make_variants(s.pb);
+  auto reference = make_variants(s.pb);
   core::ComaConfig cfg;
-  cfg.epochs = 1;
-  cfg.rollout_batch = 2;
+  cfg.epochs = 2;
   cfg.workers = 1;
-  core::train_coma(baseline, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
-  cfg.workers = 4;
-  core::train_coma(model, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
-  expect_params_bit_identical(model, baseline, "legacy fallback workers=4");
+  cfg.rollout_batch = 1;
+  for (std::size_t v = 0; v < std::size(kVariantNames); ++v) {
+    core::train_coma(*trained[v], s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+    reference_coma(*reference[v], s.pb, s.trace, cfg);
+    expect_params_bit_identical(*trained[v], *reference[v],
+                                std::string(kVariantNames[v]) + " coma ws-vs-reference");
+  }
 }
 
 // A damaged model cache must not leak into training: train_or_load_model
@@ -378,34 +426,6 @@ TEST(TrainWorkspace, TruncatedCacheTrainsLikeNoCache) {
   core::train_or_load_model(cached, s.pb, s.trace, te::Objective::kTotalFlow, opts);
   std::filesystem::remove(path);
   expect_params_bit_identical(fresh, cached, "truncated cache vs no cache");
-}
-
-// Unit seam check: backward_acc accumulates the same values into external
-// buffers that backward() accumulates into Param::g.
-TEST(TrainWorkspace, LinearBackwardAccMatchesBackward) {
-  util::Rng rng(5);
-  nn::Linear lin(6, 4, rng);
-  nn::Mat x(8, 6), gy(8, 4);
-  for (auto& v : x.data()) v = rng.normal();
-  for (auto& v : gy.data()) v = rng.normal();
-
-  nn::Mat gx_ref;
-  for (auto* p : lin.params()) p->zero_grad();
-  lin.backward(x, gy, gx_ref);
-
-  nn::Mat gx(0, 0), gw(4, 6), gb(1, 4);
-  lin.backward_acc(x, gy, gx, gw, gb);
-
-  auto params = lin.params();
-  EXPECT_EQ(std::memcmp(gw.data().data(), params[0]->g.data().data(),
-                        gw.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(gb.data().data(), params[1]->g.data().data(),
-                        gb.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(gx.data().data(), gx_ref.data().data(),
-                        gx.size() * sizeof(double)),
-            0);
 }
 
 // GradAccum reduction: Param::g after reduce_into equals direct accumulation
