@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "baselines/lp_schemes.h"
@@ -107,11 +108,45 @@ double paper_seconds(const std::string& scheme, const std::string& topo);
 double scheme_time_scale(const std::string& scheme, const std::string& topo,
                          double measured_median);
 
+// The unblocked row-major f32 linear forward: per output, a dot product
+// along the input seeded with the bias; under TEAL_SIMD spans of >= 16
+// inputs reassociate across 8 partial accumulators. src/ serves the narrowed
+// path only through the blocked panels (nn/packed.h); this is the baseline
+// the Blocked layout ledger measures them against.
+inline void unblocked_linear_forward_rows(const nn::MatF& x, const nn::MatF& w,
+                                          const std::vector<float>& b, nn::MatF& y,
+                                          int row_begin, int row_end) {
+  const int in = x.cols();
+  for (int r = row_begin; r < row_end; ++r) {
+    const float* xr = x.row_ptr(r);
+    for (int o = 0; o < w.rows(); ++o) {
+      const float* wr = w.row_ptr(o);
+      float acc = b[static_cast<std::size_t>(o)];
+      int i = 0;
+#if defined(TEAL_SIMD)
+      constexpr int kLanes = 8;
+      if (in >= 2 * kLanes) {
+        float lanes[kLanes] = {};
+        for (; i + kLanes <= in; i += kLanes) {
+#pragma omp simd
+          for (int l = 0; l < kLanes; ++l) lanes[l] += xr[i + l] * wr[i + l];
+        }
+        for (int l = 0; l < kLanes; ++l) acc += lanes[l];
+      }
+#endif
+      for (; i < in; ++i) acc += xr[i] * wr[i];
+      y.at(r, o) = acc;
+    }
+  }
+}
+
 // Shared fixture for the Precision/SIMD ledger's batched linear-forward
 // kernel: n rows through a (24 -> 24) dense layer at the pipeline's own
 // shape class. bench_micro_kernels and bench_precision_simd both report this
 // kernel's f64/f32 ratio, so the shape, seed and fill are defined once here
-// — retuning it in one binary cannot silently diverge from the other.
+// — retuning it in one binary cannot silently diverge from the other. T =
+// double runs nn::linear_forward_rows, T = float the unblocked reference
+// above.
 template <typename T>
 struct LinearKernelFixture {
   static constexpr int kRows = 20000, kIn = 24, kOut = 24;
@@ -124,7 +159,27 @@ struct LinearKernelFixture {
     for (auto& v : w.data()) v = static_cast<T>(rng.normal());
     for (auto& v : b) v = static_cast<T>(rng.normal());
   }
-  void run() { nn::linear_forward_rows(x, w, b, y, 0, kRows); }
+  void run() {
+    if constexpr (std::is_same_v<T, double>) {
+      nn::linear_forward_rows(x, w, b, y, 0, kRows);
+    } else {
+      unblocked_linear_forward_rows(x, w, b, y, 0, kRows);
+    }
+  }
+};
+
+// The backward of the same layer: gy is a second seeded (kRows, kOut) fill,
+// and gw/gb accumulate across runs (the kernel adds onto them).
+struct LinearBackwardFixture {
+  LinearKernelFixture<double> fwd;
+  nn::Mat gy{fwd.kRows, fwd.kOut}, gx, gw{fwd.kOut, fwd.kIn};
+  std::vector<double> gb = std::vector<double>(fwd.kOut);
+
+  LinearBackwardFixture() {
+    util::Rng rng(5);
+    for (auto& v : gy.data()) v = rng.normal();
+  }
+  void run() { nn::linear_backward(fwd.x, fwd.w, gy, gx, gw, gb); }
 };
 
 // Blocked-layout variant of the same kernel: identical shape, seed and fill

@@ -13,6 +13,7 @@
 #include "core/teal_scheme.h"
 #include "lp/path_lp.h"
 #include "nn/mat.h"
+#include "nn/module.h"
 #include "util/rng.h"
 #include "te/objective.h"
 #include "topo/topology.h"
@@ -52,6 +53,28 @@ void BM_FlowGnnForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowGnnForward)->Unit(benchmark::kMillisecond);
+
+// The training-time backward of the same model (FlowGNN + policy, the
+// FlowGNN message-passing scatters included) through the workspace seam a
+// COMA* rollout uses: warm scratch, one gradient accumulator.
+void BM_FlowGnnBackward(benchmark::State& state) {
+  auto& f = swan();
+  core::TealModel model({}, f.pb->k_paths());
+  core::ModelForward fwd;
+  model.forward_ws(*f.pb, f.trace.at(0), nullptr, fwd);
+  nn::Mat grad(fwd.logits.rows(), fwd.logits.cols());
+  util::Rng rng(9);
+  for (auto& v : grad.data()) v = rng.normal();
+  core::TrainBackward bws;
+  nn::GradAccum acc;
+  acc.prepare(model.params());
+  model.backward_ws(*f.pb, fwd, grad, bws, acc.refs());  // warm the scratch
+  for (auto _ : state) {
+    model.backward_ws(*f.pb, fwd, grad, bws, acc.refs());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FlowGnnBackward)->Unit(benchmark::kMillisecond);
 
 // Workspace-reuse microbenchmark: the full TealScheme::solve pipeline with a
 // cold workspace every iteration vs. a warm (reused) one. The gap is the
@@ -133,6 +156,16 @@ void BM_LinearForwardBatchedF32(benchmark::State& state) {
   run_linear_kernel_bench(state, fx, fx.y);
 }
 BENCHMARK(BM_LinearForwardBatchedF32)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kLinearKernelIters);
+
+// Backward of the f64 layer above (bench::LinearBackwardFixture): the
+// input grad over rows, then the parameter grads.
+void BM_LinearBackwardF64(benchmark::State& state) {
+  bench::LinearBackwardFixture fx;
+  run_linear_kernel_bench(state, fx, fx.gx);
+}
+BENCHMARK(BM_LinearBackwardF64)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(kLinearKernelIters);
 

@@ -1,18 +1,19 @@
 // precision_simd — precision/layout backend sweep: kernel-level speedup of
-// the batched linear forward (f64 scalar reference vs the unblocked f32
-// path vs the blocked-panel f32/bf16 kernels the solve path runs),
+// the batched linear forward (f64 reference vs the unblocked row-major f32
+// kernel of bench/common.h vs the blocked-panel f32/bf16 kernels the solve
+// path runs),
 // end-to-end warm-solve latency at every precision, and the narrowed-vs-f64
 // flow-allocation error per topology.
 //
 // Not a paper figure: this bench quantifies the repo's own precision knob
 // (te::Scheme::set_precision), the CPU analogue of the paper's fp32 GPU
 // inference. The f64 path is the bit-stable reference under every build
-// flag; the narrowed kernels vectorize under TEAL_SIMD, so the f64/f32
-// kernel ratio reported here is the honest speedup of narrowing + SIMD on
-// this machine (acceptance target >= 1.5x with TEAL_SIMD=ON on a
+// flag; the narrowed kernels vectorize under TEAL_SIMD, so the f64 /
+// blocked-f32 kernel ratio reported here is the honest speedup of narrowing
+// + SIMD on this machine (acceptance target >= 1.5x with TEAL_SIMD=ON on a
 // >= 4-lane-vector unit; a scalar build records its own number), and the
-// f32/blocked-f32 ratio is the layout speedup (CI-asserted >= 1x via
-// TEAL_BENCH_ASSERT_BLOCKED=1).
+// unblocked-f32/blocked-f32 ratio is the layout speedup (CI-asserted >= 1x
+// via TEAL_BENCH_ASSERT_BLOCKED=1).
 //
 // Jitter control: all kernel fixtures are timed with interleaved
 // round-robin samples (one timed run of each fixture per sweep, repeated a
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -47,6 +49,17 @@ namespace {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+// Lower and upper quartile (nearest rank), the spread the ledgers report
+// next to each median.
+struct Quartiles {
+  double p25 = 0.0, p75 = 0.0;
+};
+Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  if (v.empty()) return {};
+  return {v[v.size() / 4], v[(3 * v.size()) / 4]};
 }
 
 // Scientific notation for the error columns: the narrowed-vs-f64 deltas are
@@ -68,8 +81,10 @@ struct KernelResult {
   double f32_ms = 0.0;           // unblocked row-major f32
   double blocked_f32_ms = 0.0;   // lane-panel broadcast-FMA kernel
   double blocked_bf16_ms = 0.0;  // same kernel, bf16-storage weights
-  double narrow_speedup = 0.0;   // f64 / f32 (narrowing + SIMD)
+  double narrow_speedup = 0.0;   // f64 / blocked f32 (the narrowed path's kernel)
   double layout_speedup = 0.0;   // f32 / blocked f32 (layout alone)
+  Quartiles f64_q, f32_q, blocked_f32_q, blocked_bf16_q;
+  int samples = 0;
 };
 
 // Times all four kernel fixtures with interleaved round-robin sampling (see
@@ -102,7 +117,12 @@ KernelResult time_kernels(int samples) {
   k.f32_ms = median(ms32);
   k.blocked_f32_ms = median(msb32);
   k.blocked_bf16_ms = median(msb16);
-  k.narrow_speedup = k.f32_ms > 0.0 ? k.f64_ms / k.f32_ms : 0.0;
+  k.f64_q = quartiles(ms64);
+  k.f32_q = quartiles(ms32);
+  k.blocked_f32_q = quartiles(msb32);
+  k.blocked_bf16_q = quartiles(msb16);
+  k.samples = samples;
+  k.narrow_speedup = k.blocked_f32_ms > 0.0 ? k.f64_ms / k.blocked_f32_ms : 0.0;
   k.layout_speedup = k.blocked_f32_ms > 0.0 ? k.f32_ms / k.blocked_f32_ms : 0.0;
   return k;
 }
@@ -125,8 +145,9 @@ void append_experiments_ledger(const KernelResult& kern, const std::vector<TopoR
   entry += std::string(" — SIMD ") + (nn::simd_enabled() ? "ON" : "OFF") +
            (bench::fast_mode() ? " (fast mode)" : "") + "\n\n";
   entry += "Batched linear forward (" + kernel_shape() + ", interleaved median): f64 " +
-           util::fmt(kern.f64_ms, 3) + " ms, f32 " + util::fmt(kern.f32_ms, 3) +
-           " ms, speedup " + util::fmt(kern.narrow_speedup, 2) + "x\n\n";
+           util::fmt(kern.f64_ms, 3) + " ms, f32 blocked panels " +
+           util::fmt(kern.blocked_f32_ms, 3) + " ms, speedup " +
+           util::fmt(kern.narrow_speedup, 2) + "x\n\n";
   entry += "| topology | solve f64 p50 (ms) | solve f32 p50 (ms) | speedup | max split err | objective rel err | bf16 p50 (ms) | bf16 max split err | bf16 obj rel err |\n";
   entry += "|---|---|---|---|---|---|---|---|---|\n";
   for (const auto& r : rows) {
@@ -144,20 +165,26 @@ void append_blocked_ledger(const KernelResult& kern) {
   entry += "\n\n### Run " + bench::ledger_stamp();
   entry += std::string(" — SIMD ") + (nn::simd_enabled() ? "ON" : "OFF") +
            (bench::fast_mode() ? " (fast mode)" : "") + "\n\n";
-  entry += "Kernel " + kernel_shape() + ", interleaved round-robin medians:\n\n";
-  entry += "| kernel | median (ms) | vs f64 | vs unblocked f32 |\n";
-  entry += "|---|---|---|---|\n";
+  entry += "Kernel " + kernel_shape() + ", interleaved round-robin samples (n = " +
+           std::to_string(kern.samples) + " each, " +
+           std::to_string(std::thread::hardware_concurrency()) + " hardware threads):\n\n";
+  entry += "| kernel | median (ms) | p25-p75 (ms) | vs f64 | vs unblocked f32 |\n";
+  entry += "|---|---|---|---|---|\n";
   auto ratio = [](double base, double v) {
     return v > 0.0 ? util::fmt(base / v, 2) + "x" : std::string("-");
   };
-  entry += "| f64 row-major (reference) | " + util::fmt(kern.f64_ms, 3) + " | 1.00x | - |\n";
-  entry += "| f32 row-major (unblocked) | " + util::fmt(kern.f32_ms, 3) + " | " +
-           ratio(kern.f64_ms, kern.f32_ms) + " | 1.00x |\n";
+  auto iqr = [](const Quartiles& q) {
+    return util::fmt(q.p25, 3) + "-" + util::fmt(q.p75, 3);
+  };
+  entry += "| f64 row-major (width-specialized reference) | " + util::fmt(kern.f64_ms, 3) +
+           " | " + iqr(kern.f64_q) + " | 1.00x | - |\n";
+  entry += "| f32 row-major (unblocked, bench/common.h) | " + util::fmt(kern.f32_ms, 3) + " | " +
+           iqr(kern.f32_q) + " | " + ratio(kern.f64_ms, kern.f32_ms) + " | 1.00x |\n";
   entry += "| f32 blocked panels | " + util::fmt(kern.blocked_f32_ms, 3) + " | " +
-           ratio(kern.f64_ms, kern.blocked_f32_ms) + " | " +
+           iqr(kern.blocked_f32_q) + " | " + ratio(kern.f64_ms, kern.blocked_f32_ms) + " | " +
            ratio(kern.f32_ms, kern.blocked_f32_ms) + " |\n";
   entry += "| bf16-storage blocked panels | " + util::fmt(kern.blocked_bf16_ms, 3) + " | " +
-           ratio(kern.f64_ms, kern.blocked_bf16_ms) + " | " +
+           iqr(kern.blocked_bf16_q) + " | " + ratio(kern.f64_ms, kern.blocked_bf16_ms) + " | " +
            ratio(kern.f32_ms, kern.blocked_bf16_ms) + " |\n";
   bench::insert_ledger_entry(
       "<!-- bench_precision_simd inserts blocked-layout runs below this line -->", entry);
@@ -174,8 +201,9 @@ int main() {
   const KernelResult kern = time_kernels(repeats);
   std::printf("  batched linear forward (%s), SIMD %s, interleaved medians:\n"
               "    f64 %.3f ms   f32 %.3f ms   blocked f32 %.3f ms   blocked bf16 %.3f ms\n"
-              "    narrowing speedup (f64/f32) %.2fx (target >= 1.5x with TEAL_SIMD=ON\n"
-              "    on a >= 4-lane-vector machine)   layout speedup (f32/blocked) %.2fx\n",
+              "    narrowing speedup (f64/blocked f32) %.2fx (target >= 1.5x with\n"
+              "    TEAL_SIMD=ON on a >= 4-lane-vector machine)   layout speedup\n"
+              "    (unblocked f32/blocked f32) %.2fx\n",
               kernel_shape().c_str(), nn::simd_enabled() ? "ON" : "OFF", kern.f64_ms,
               kern.f32_ms, kern.blocked_f32_ms, kern.blocked_bf16_ms, kern.narrow_speedup,
               kern.layout_speedup);

@@ -91,40 +91,38 @@ inline void concat_row(const nn::BasicMat<T>& a, const nn::BasicMat<T>& b, int r
 }
 }  // namespace
 
-void FlowGnn::scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& g_agg,
+void FlowGnn::scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& quot,
                                             nn::Mat& g_paths) const {
   // Transpose of aggregate_paths_to_edges: each path on edge e receives
-  // g_agg(e) / |paths_on_edge(e)|. Parallelized over paths (gather form) to
-  // stay race-free.
+  // quot(e) = g_agg(e) / |paths_on_edge(e)|. Parallelized over paths (gather
+  // form) to stay race-free.
   const int np = pb.total_paths();
-  const int d = g_agg.cols();
+  const int d = quot.cols();
   util::ThreadPool::global().parallel_chunks(
       static_cast<std::size_t>(np), [&](std::size_t b, std::size_t e) {
         for (std::size_t pi = b; pi < e; ++pi) {
           double* out = g_paths.row_ptr(static_cast<int>(pi));
           for (topo::EdgeId ei : pb.path_edges(static_cast<int>(pi))) {
-            const auto cnt = static_cast<double>(pb.paths_on_edge(ei).size());
-            const double* gr = g_agg.row_ptr(ei);
-            for (int c = 0; c < d; ++c) out[c] += gr[c] / cnt;
+            const double* q = quot.row_ptr(ei);
+            for (int c = 0; c < d; ++c) out[c] += q[c];
           }
         }
       });
 }
 
-void FlowGnn::scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat& g_agg,
+void FlowGnn::scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat& quot,
                                             nn::Mat& g_edges) const {
+  // Each edge gathers quot(p) = g_agg(p) / |path_edges(p)| from every path
+  // traversing it.
   const int ne = pb.graph().num_edges();
-  const int d = g_agg.cols();
+  const int d = quot.cols();
   util::ThreadPool::global().parallel_chunks(
       static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e) {
         for (std::size_t ei = b; ei < e; ++ei) {
           double* out = g_edges.row_ptr(static_cast<int>(ei));
-          // Gather from each path traversing this edge: that path's agg
-          // divided by the path's own edge count.
           for (int p : pb.paths_on_edge(static_cast<topo::EdgeId>(ei))) {
-            const auto cnt = static_cast<double>(pb.path_edges(p).size());
-            const double* gr = g_agg.row_ptr(p);
-            for (int c = 0; c < d; ++c) out[c] += gr[c] / cnt;
+            const double* q = quot.row_ptr(p);
+            for (int c = 0; c < d; ++c) out[c] += q[c];
           }
         }
       });
@@ -385,20 +383,24 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
       lin_.edge[ls].backward_acc(blk.edge_cat, ws.g_edge_pre, ws.g_edge_cat, gw, gb);
     }
 
-    // Split the concat grads: [self | agg].
+    // Split the concat grads: [self | agg], the agg half divided by the
+    // row's aggregation count once here rather than once per (row,
+    // neighbor) in the scatters. A row with no neighbors is never gathered.
+    auto split = [d](const double* src, int cnt, double* self, double* quot) {
+      std::copy(src, src + d, self);
+      for (int c = 0; c < d; ++c) quot[c] = cnt == 0 ? 0.0 : src[d + c] / cnt;
+    };
     ws.g_path_in.resize(np, d);
     ws.g_agg_edges.resize(np, d);
     for (int p = 0; p < np; ++p) {
-      const double* src = ws.g_path_cat.row_ptr(p);
-      std::copy(src, src + d, ws.g_path_in.row_ptr(p));
-      std::copy(src + d, src + 2 * d, ws.g_agg_edges.row_ptr(p));
+      split(ws.g_path_cat.row_ptr(p), static_cast<int>(pb.path_edges(p).size()),
+            ws.g_path_in.row_ptr(p), ws.g_agg_edges.row_ptr(p));
     }
     ws.g_edge_in.resize(ne, d);
     ws.g_agg_paths.resize(ne, d);
     for (int e = 0; e < ne; ++e) {
-      const double* src = ws.g_edge_cat.row_ptr(e);
-      std::copy(src, src + d, ws.g_edge_in.row_ptr(e));
-      std::copy(src + d, src + 2 * d, ws.g_agg_paths.row_ptr(e));
+      split(ws.g_edge_cat.row_ptr(e), static_cast<int>(pb.paths_on_edge(e).size()),
+            ws.g_edge_in.row_ptr(e), ws.g_agg_paths.row_ptr(e));
     }
     // Aggregation transposes (accumulate on top of the self halves).
     scatter_grad_paths_from_edges(pb, ws.g_agg_edges, ws.g_edge_in);

@@ -130,7 +130,10 @@ class FlowGnn {
     nn::Mat g_path_act, g_path_pre, g_path_cat;
     nn::Mat g_edge_pre, g_edge_cat;
     nn::Mat g_path_in, g_edge_in;            // concat-split self halves
-    nn::Mat g_agg_edges, g_agg_paths;        // concat-split aggregation halves
+    // Concat-split aggregation halves, each row already divided by its
+    // aggregation count (path rows by edges on the path, edge rows by paths
+    // on the edge): the quotients the scatters gather.
+    nn::Mat g_agg_edges, g_agg_paths;
   };
   void backward_ws(const te::Problem& pb, const Forward& fwd,
                    const nn::Mat& grad_final_paths, BackwardWs& ws,
@@ -178,10 +181,11 @@ class FlowGnn {
                     const std::vector<double>* capacities, ForwardT<T>& fwd,
                     const ShardPlan& shards, ShardStat* stats, const Layers<Lin>& lin) const;
 
-  // Backward message-passing transposes.
-  void scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& g_agg,
+  // Backward message-passing transposes: gather-add the per-row quotients
+  // (BackwardWs::g_agg_*) in neighbor-list order.
+  void scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& quot,
                                      nn::Mat& g_paths) const;
-  void scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat& g_agg,
+  void scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat& quot,
                                      nn::Mat& g_edges) const;
 
   FlowGnnConfig cfg_;

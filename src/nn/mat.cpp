@@ -1,26 +1,26 @@
-// Kernel implementations for both element types. Precision discipline:
-//  * T = double — strictly ordered arithmetic, identical to the seed
-//    implementation under every build flag. TEAL_SIMD may vectorize the
-//    *elementwise* loops (order-independent per element, so still
-//    bit-identical) but never the reductions.
-//  * T = float  — the f32 inference path. Under TEAL_SIMD its dot-product
-//    reduction reassociates across 8 partial accumulators (vector lanes),
-//    which is what buys the batched linear-forward speedup recorded in the
-//    EXPERIMENTS.md Precision/SIMD ledger.
+// Kernel implementations. Precision discipline:
+//  * The linear kernels are f64 only and strictly ordered: identical to the
+//    seed implementation under every build flag (the teal library compiles
+//    with -ffp-contract=off, so no mul+add is ever fused into an FMA).
+//  * The elementwise kernels serve both element types. TEAL_SIMD may
+//    vectorize them, which is order-independent per element and so still
+//    bit-identical.
 #include "nn/mat.h"
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "util/thread_pool.h"
 
 #if defined(TEAL_SIMD)
 #define TEAL_PRAGMA(x) _Pragma(#x)
 #define TEAL_SIMD_LOOP TEAL_PRAGMA(omp simd)
-#define TEAL_SIMD_REDUCE(var) TEAL_PRAGMA(omp simd reduction(+ : var))
 #else
 #define TEAL_SIMD_LOOP
-#define TEAL_SIMD_REDUCE(var)
 #endif
 
 namespace teal::nn {
@@ -57,107 +57,148 @@ void for_rows(int n, F&& body) {
   }
 }
 
-// Dot product with the bias as the accumulation seed. The double overload is
-// the strictly ordered reference (seed-identical bits); the float overload
-// may reassociate into vector lanes under TEAL_SIMD — the narrowed path
-// trades bit-stability for throughput, which is exactly the paper's fp32
-// inference contract.
-inline double row_dot(const double* a, const double* b, int n, double seed) {
-  double acc = seed;
-  for (int i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
+// The linear kernels fix the input width at compile time for the widths the
+// default models build: FlowGNN edge/path layers (2d for d = 1..6), DNN
+// layers (k*d for k = 4) and the 24-wide policy. With W known the compiler
+// unrolls the inner loops and keeps a row's accumulators in registers, which
+// is where the time of these tiny layers goes. Every other width runs W = 0,
+// the same body with the width read at runtime. The arithmetic is identical
+// for every W.
+constexpr int kWidths[] = {2, 4, 6, 8, 10, 12, 16, 20, 24};
+
+template <typename F, std::size_t... I>
+void dispatch_width(int in, F&& body, std::index_sequence<I...>) {
+  const bool fixed = ((in == kWidths[I] &&
+                       (body(std::integral_constant<int, kWidths[I]>{}), true)) ||
+                      ...);
+  if (!fixed) body(std::integral_constant<int, 0>{});
 }
 
-inline float row_dot(const float* a, const float* b, int n, float seed) {
-#if defined(TEAL_SIMD)
-  constexpr int kLanes = 8;  // partial accumulators, 4-8 wide per the vector unit
-  if (n >= 2 * kLanes) {
-    float lanes[kLanes] = {};
-    int i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-      TEAL_SIMD_LOOP
-      for (int l = 0; l < kLanes; ++l) lanes[l] += a[i + l] * b[i + l];
-    }
-    float acc = seed;
-    for (; i < n; ++i) acc += a[i] * b[i];
-    for (int l = 0; l < kLanes; ++l) acc += lanes[l];
-    return acc;
+// Calls body(std::integral_constant<int, W>{}) with W = in when the table
+// holds it, else W = 0.
+template <typename F>
+void with_width(int in, F&& body) {
+  dispatch_width(in, body, std::make_index_sequence<std::size(kWidths)>{});
+}
+
+// Forward row body: per output, seed with the bias and add the inputs in
+// ascending order.
+template <int W>
+inline void linear_row(const double* xr, const Mat& w, const double* b,
+                       double* __restrict yr, int in) {
+  const int n = W > 0 ? W : in;
+  for (int o = 0; o < w.rows(); ++o) {
+    const double* wr = w.row_ptr(o);
+    double acc = b[o];
+    for (int i = 0; i < n; ++i) acc += xr[i] * wr[i];
+    yr[o] = acc;
   }
-  float acc = seed;
-  TEAL_SIMD_REDUCE(acc)
-  for (int i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-#else
-  float acc = seed;
-  for (int i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-#endif
 }
 
-// Shared row body of linear_forward / linear_forward_rows: identical
-// arithmetic keeps full and row-range calls bit-identical.
-template <typename T>
-inline void linear_row(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                       BasicMat<T>& y, int r) {
-  const int in = x.cols(), out = w.rows();
-  const T* xr = x.row_ptr(r);
-  T* yr = y.row_ptr(r);
-  for (int o = 0; o < out; ++o) {
-    yr[o] = row_dot(xr, w.row_ptr(o), in, b[static_cast<std::size_t>(o)]);
+// Input-grad row body: gx(r, i) = sum over o ascending of gy(r, o) w(o, i),
+// from +0.0 (what a zeroed gx held), accumulated in registers when W > 0.
+// The register copies are element loops, not std::copy: a memcpy would put
+// the accumulators on the stack and stall on store forwarding.
+template <int W>
+inline void linear_grad_input_row(const double* gyr, const Mat& w, double* gxr, int in) {
+  const int n = W > 0 ? W : in;
+  double regs[W > 0 ? W : 1];
+  double* acc = W > 0 ? regs : gxr;
+  for (int i = 0; i < n; ++i) acc[i] = 0.0;
+  for (int o = 0; o < w.rows(); ++o) {
+    const double g = gyr[o];
+    if (g == 0.0) continue;
+    const double* wr = w.row_ptr(o);
+    for (int i = 0; i < n; ++i) acc[i] += g * wr[i];
+  }
+  if constexpr (W > 0) {
+    for (int i = 0; i < n; ++i) gxr[i] = acc[i];
+  }
+}
+
+// Rows per chunk of the parameter-grad pass: a chunk's x and gy rows stay in
+// L1 while every output walks them.
+constexpr int kGradRowChunk = 64;
+
+// Parameter grads over rows [r0, r1), output-major: gw(o, .) and gb(o) stay
+// in registers (W > 0) across the chunk and still add over r ascending.
+template <int W>
+inline void linear_grad_params_chunk(const Mat& x, const Mat& gy, Mat& gw,
+                                     std::span<double> gb, int r0, int r1) {
+  const int n = W > 0 ? W : x.cols();
+  for (int o = 0; o < gw.rows(); ++o) {
+    double* gwr = gw.row_ptr(o);
+    double regs[W > 0 ? W : 1];
+    double* acc = W > 0 ? regs : gwr;
+    if constexpr (W > 0) {
+      for (int i = 0; i < n; ++i) acc[i] = gwr[i];
+    }
+    double gbo = gb[static_cast<std::size_t>(o)];
+    for (int r = r0; r < r1; ++r) {
+      const double g = gy.row_ptr(r)[o];
+      if (g == 0.0) continue;
+      const double* xr = x.row_ptr(r);
+      for (int i = 0; i < n; ++i) acc[i] += g * xr[i];
+      gbo += g;
+    }
+    if constexpr (W > 0) {
+      for (int i = 0; i < n; ++i) gwr[i] = acc[i];
+    }
+    gb[static_cast<std::size_t>(o)] = gbo;
+  }
+}
+
+// x (n, in) against w (out, in), and a bias (or bias grad) of out entries.
+void check_linear(const Mat& x, const Mat& w, std::size_t b_size, const char* what) {
+  if (w.cols() != x.cols()) throw std::invalid_argument(std::string(what) + ": shape mismatch");
+  if (b_size != static_cast<std::size_t>(w.rows())) {
+    throw std::invalid_argument(std::string(what) + ": bias");
   }
 }
 }  // namespace
 
-template <typename T>
-void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                    BasicMat<T>& y) {
-  const int n = x.rows(), in = x.cols(), out = w.rows();
-  if (w.cols() != in) throw std::invalid_argument("linear_forward: shape mismatch");
-  if (static_cast<int>(b.size()) != out) throw std::invalid_argument("linear_forward: bias");
-  y.resize(n, out);
-  for_rows(n, [&](int r) { linear_row(x, w, b, y, r); });
+void linear_forward(const Mat& x, const Mat& w, std::span<const double> b, Mat& y) {
+  check_linear(x, w, b.size(), "linear_forward");
+  y.resize(x.rows(), w.rows());
+  with_width(x.cols(), [&](auto W) {
+    for_rows(x.rows(), [&](int r) {
+      linear_row<W()>(x.row_ptr(r), w, b.data(), y.row_ptr(r), x.cols());
+    });
+  });
 }
 
-template <typename T>
-void linear_forward_rows(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                         BasicMat<T>& y, int row_begin, int row_end) {
-  if (w.cols() != x.cols()) throw std::invalid_argument("linear_forward_rows: shape");
+void linear_forward_rows(const Mat& x, const Mat& w, std::span<const double> b, Mat& y,
+                         int row_begin, int row_end) {
+  check_linear(x, w, b.size(), "linear_forward_rows");
   if (y.rows() != x.rows() || y.cols() != w.rows()) {
     throw std::invalid_argument("linear_forward_rows: y must be pre-sized");
   }
-  for (int r = row_begin; r < row_end; ++r) linear_row(x, w, b, y, r);
+  if (row_begin < 0 || row_end > x.rows()) {
+    throw std::invalid_argument("linear_forward_rows: row range");
+  }
+  with_width(x.cols(), [&](auto W) {
+    for (int r = row_begin; r < row_end; ++r) {
+      linear_row<W()>(x.row_ptr(r), w, b.data(), y.row_ptr(r), x.cols());
+    }
+  });
 }
 
 void linear_backward(const Mat& x, const Mat& w, const Mat& gy, Mat& gx, Mat& gw,
                      std::span<double> gb) {
+  check_linear(x, w, gb.size(), "linear_backward");
   const int n = x.rows(), in = x.cols(), out = w.rows();
   if (gy.rows() != n || gy.cols() != out) {
     throw std::invalid_argument("linear_backward: gy shape");
   }
+  if (!gw.same_shape(w)) throw std::invalid_argument("linear_backward: gw shape");
   gx.resize(n, in);
-  gx.zero();
-  for_rows(n, [&](int r) {
-    const double* gyr = gy.row_ptr(r);
-    double* gxr = gx.row_ptr(r);
-    for (int o = 0; o < out; ++o) {
-      const double* wr = w.row_ptr(o);
-      const double g = gyr[o];
-      if (g == 0.0) continue;
-      for (int i = 0; i < in; ++i) gxr[i] += g * wr[i];
+  with_width(in, [&](auto W) {
+    for_rows(n, [&](int r) { linear_grad_input_row<W()>(gy.row_ptr(r), w, gx.row_ptr(r), in); });
+    // Parameter grads accumulate sequentially (they are small: out x in).
+    for (int r0 = 0; r0 < n; r0 += kGradRowChunk) {
+      linear_grad_params_chunk<W()>(x, gy, gw, gb, r0, std::min(n, r0 + kGradRowChunk));
     }
   });
-  // Parameter grads accumulate sequentially (they are small: out x in).
-  for (int r = 0; r < n; ++r) {
-    const double* xr = x.row_ptr(r);
-    const double* gyr = gy.row_ptr(r);
-    for (int o = 0; o < out; ++o) {
-      const double g = gyr[o];
-      if (g == 0.0) continue;
-      double* gwr = gw.row_ptr(o);
-      for (int i = 0; i < in; ++i) gwr[i] += g * xr[i];
-      gb[static_cast<std::size_t>(o)] += g;
-    }
-  }
 }
 
 template <typename T>
@@ -261,12 +302,6 @@ void softmax_rows_backward(const Mat& probs, const Mat& gy, Mat& gx) {
 
 // Explicit instantiations: the reference f64 kernels and the f32 inference
 // mirrors. Declarations in mat.h resolve against these.
-template void linear_forward<double>(const Mat&, const Mat&, std::span<const double>, Mat&);
-template void linear_forward<float>(const MatF&, const MatF&, std::span<const float>, MatF&);
-template void linear_forward_rows<double>(const Mat&, const Mat&, std::span<const double>,
-                                          Mat&, int, int);
-template void linear_forward_rows<float>(const MatF&, const MatF&, std::span<const float>,
-                                         MatF&, int, int);
 template void leaky_relu_forward<double>(const Mat&, Mat&, double);
 template void leaky_relu_forward<float>(const MatF&, MatF&, double);
 template void leaky_relu_forward_rows<double>(const Mat&, Mat&, int, int, double);

@@ -10,10 +10,10 @@
 // reference type used everywhere results must be bit-stable — training, the
 // ADMM fine-tune, the default solve path — while BasicMat<float> (alias
 // MatF) carries the narrowed f32 inference forward, mirroring the paper's
-// fp32 GPU inference. Every kernel below is instantiated for both element
-// types; the f64 instantiation keeps strictly ordered arithmetic (so results
-// are bit-identical whether or not TEAL_SIMD is enabled), whereas the f32
-// instantiation may use reassociating vectorized reductions under TEAL_SIMD.
+// fp32 GPU inference. The linear kernels here are f64 only and strictly
+// ordered (bit-identical under every build flag); the narrowed forward runs
+// its dense layers through the blocked panels of nn/packed.h, and shares
+// only the elementwise kernels below.
 #pragma once
 
 #include <cstddef>
@@ -114,18 +114,23 @@ using MatF = BasicMat<float>;   // narrowed f32 inference forward
 
 // All kernels below write into caller-owned outputs via resize, so a warm
 // output (same shape as the previous call) incurs no heap allocation.
-// Outputs must not alias inputs. Each kernel is instantiated for double and
-// float (mat.cpp); the double instantiation keeps seed-identical ordered
-// arithmetic under every build flag.
+// Outputs must not alias inputs. The templated kernels are instantiated for
+// double and float (mat.cpp); every double kernel keeps seed-identical
+// ordered arithmetic under every build flag.
 
 // y = x * wT + b_broadcast : x is (n, in), w is (out, in), b is (out), y is (n, out).
 // Parallelized over rows of x when n is large. Bias/grad-bias parameters are
-// spans so both plain std::vectors and arena-backed Mat storage bind.
-template <typename T>
-void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                    BasicMat<T>& y);
+// spans so both plain std::vectors and arena-backed Mat storage bind. Per
+// output the sum is seeded with the bias and adds the inputs in ascending
+// order, one rounding per mul and per add. Throws std::invalid_argument on
+// misshaped operands.
+void linear_forward(const Mat& x, const Mat& w, std::span<const double> b, Mat& y);
 
 // Backward of the same: gx = gy * w ; gw += gyᵀ x ; gb += column sums of gy.
+// gx(r, i) sums over o ascending from +0.0; gw(o, i) and gb(o) add over r
+// ascending onto their current values. Entries of gy that are exactly 0.0
+// are skipped (0 * inf would be NaN). Throws std::invalid_argument unless
+// x is (n, in), gy is (n, out), gw is (out, in) and gb holds out entries.
 void linear_backward(const Mat& x, const Mat& w, const Mat& gy, Mat& gx, Mat& gw,
                      std::span<double> gb);
 
@@ -148,9 +153,8 @@ void softmax_rows(const BasicMat<T>& logits, const BasicMat<T>& mask, BasicMat<T
 // byte-for-byte the full kernel's, so any row partition produces
 // bit-identical results (the shard-count invariance tests/shard_test.cpp
 // verifies end to end).
-template <typename T>
-void linear_forward_rows(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                         BasicMat<T>& y, int row_begin, int row_end);
+void linear_forward_rows(const Mat& x, const Mat& w, std::span<const double> b, Mat& y,
+                         int row_begin, int row_end);
 template <typename T>
 void leaky_relu_forward_rows(const BasicMat<T>& x, BasicMat<T>& y, int row_begin,
                              int row_end, double alpha = 0.01);
@@ -161,8 +165,9 @@ void softmax_rows_range(const BasicMat<T>& logits, const BasicMat<T>& mask,
 // Backward of row-wise softmax: gx(r,.) = (diag(p) - p pᵀ) gy(r,.).
 void softmax_rows_backward(const Mat& probs, const Mat& gy, Mat& gx);
 
-// True when this build vectorizes the f32 inner loops (TEAL_SIMD=ON).
-// The f64 kernels stay strictly ordered either way.
+// True when this build vectorizes the elementwise inner loops and the
+// blocked f32 panels (TEAL_SIMD=ON). The f64 kernels stay strictly ordered
+// either way.
 bool simd_enabled();
 
 // True when this build poison-fills BasicMat::resize (TEAL_DEBUG_MAT=ON).

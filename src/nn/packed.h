@@ -1,10 +1,10 @@
 // packed.h — blocked, lane-aligned weight panels for the narrowed forward.
 //
-// The row-major kernels in mat.h compute each output neuron as a dot product
-// along the *input* dimension. For this repo's layer shapes (in <= 24) that
-// wastes the vector unit: every dot ends in a horizontal reduction, and the
-// 8-accumulator trick (mat.cpp row_dot) only pays off when the input span is
-// long. The blocked layout turns the problem sideways: weights are stored as
+// A row-major kernel computes each output neuron as a dot product along the
+// *input* dimension. For this repo's layer shapes (in <= 24) that wastes the
+// vector unit: every dot ends in a horizontal reduction, and splitting it
+// over partial accumulators only pays off when the input span is long. The
+// blocked layout turns the problem sideways: weights are stored as
 // column-blocked panels of kPanelLanes consecutive *outputs* per input
 // column, so the inner loop broadcasts one input value and FMAs it into a
 // unit-stride lane vector — no gathers, no horizontal sums, and every store
@@ -77,7 +77,7 @@ inline float f32_from_bf16(bf16 h) {
 template <typename W>
 class PackedMat {
  public:
-  static constexpr int kLanes = 8;  // panel width; matches mat.cpp's f32 lane count
+  static constexpr int kLanes = 8;  // panel width: one 256-bit vector of f32
 
   PackedMat() = default;
 

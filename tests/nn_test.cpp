@@ -54,8 +54,10 @@ TEST(Mat, FloatLinearForwardKnownValues) {
   nn::MatF w(1, 2);
   w.at(0, 0) = 3.0f;
   w.at(0, 1) = 4.0f;
+  nn::PackedMatF p;
+  nn::pack_weights(w, p);
   nn::MatF y;
-  nn::linear_forward(x, w, std::vector<float>{0.5f}, y);
+  nn::linear_forward_blocked(x, p, std::vector<float>{0.5f}, y);
   EXPECT_FLOAT_EQ(y.at(0, 0), 11.5f);
 }
 
@@ -102,27 +104,6 @@ TEST(Mat, PoisonFillsSignalingNaNs) {
   nn::Mat m(2, 3, 1.0);
   m.poison();
   for (double v : m.data()) EXPECT_TRUE(std::isnan(v));
-}
-
-TEST(LinearF32, SnapshotMatchesDoubleForward) {
-  util::Rng rng(15);
-  nn::Linear lin(6, 4, rng);
-  nn::Mat x(3, 6);
-  for (auto& v : x.data()) v = rng.normal();
-  nn::Mat y;
-  lin.forward(x, y);
-
-  nn::LinearF32 snap = lin.snapshot_f32();
-  EXPECT_EQ(snap.in_features(), 6);
-  EXPECT_EQ(snap.out_features(), 4);
-  nn::MatF xf(3, 6), yf(3, 4);
-  for (std::size_t i = 0; i < x.data().size(); ++i) {
-    xf.data()[i] = static_cast<float>(x.data()[i]);
-  }
-  snap.forward_rows(xf, yf, 0, 3);
-  for (std::size_t i = 0; i < y.data().size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(yf.data()[i]), y.data()[i], 1e-5);
-  }
 }
 
 // ---- bf16 storage type ---------------------------------------------------
@@ -223,9 +204,10 @@ TEST(PackedMat, ResizePoisonContractUnderDebugMat) {
 
 TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
   // The blocked kernel keeps single-accumulator ascending-input order per
-  // output, so it computes the same reduction as the row-major f32 kernel.
-  // Equality is to a few ulps, not bits: the runtime-dispatched clones may
-  // contract mul+add into FMA, which drops one intermediate rounding.
+  // output, so it computes the same reduction as a row-major f32 dot
+  // product. Equality is to a few ulps, not bits: the runtime-dispatched
+  // clones may contract mul+add into FMA, which drops one intermediate
+  // rounding.
   util::Rng rng(43);
   const int n = 65, in = 24, out = 24;  // non-multiple of the row block
   nn::MatF x(n, in), w(out, in);
@@ -233,8 +215,14 @@ TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
   for (auto& v : x.data()) v = static_cast<float>(rng.normal());
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
   for (auto& v : b) v = static_cast<float>(rng.normal());
-  nn::MatF ref, y;
-  nn::linear_forward(x, w, b, ref);
+  nn::MatF ref(n, out), y;
+  for (int r = 0; r < n; ++r) {
+    for (int o = 0; o < out; ++o) {
+      float acc = b[static_cast<std::size_t>(o)];
+      for (int i = 0; i < in; ++i) acc += x.at(r, i) * w.at(o, i);
+      ref.at(r, o) = acc;
+    }
+  }
   nn::PackedMatF p;
   nn::pack_weights(w, p);
   nn::linear_forward_blocked(x, p, b, y);
@@ -376,6 +364,42 @@ TEST(Mat, LinearGradCheck) {
   check_grad(w.data(), gw.data(), eval);
   check_grad(x.data(), gx.data(), eval);
   check_grad(b, gb, eval);
+}
+
+TEST(Linear, KernelsRejectMisshapedOperands) {
+  // Every operand's shape is checked up front, so a mismatch throws instead
+  // of reading or writing past a buffer.
+  const int n = 3, in = 4, out = 2;
+  nn::Mat x(n, in), w(out, in), gy(n, out), gx, gw(out, in), y(n, out);
+  std::vector<double> b(out), gb(out);
+  EXPECT_NO_THROW(nn::linear_forward(x, w, b, y));
+  EXPECT_NO_THROW(nn::linear_forward_rows(x, w, b, y, 0, n));
+  EXPECT_NO_THROW(nn::linear_backward(x, w, gy, gx, gw, gb));
+
+  nn::Mat x_wide(n, in + 1), w_tall(out + 1, in), gw_wide(out, in + 1);
+  std::vector<double> b_short(out - 1), gb_short(out - 1);
+  EXPECT_THROW(nn::linear_forward(x_wide, w, b, y), std::invalid_argument);
+  EXPECT_THROW(nn::linear_forward(x, w, b_short, y), std::invalid_argument);
+
+  EXPECT_THROW(nn::linear_forward_rows(x_wide, w, b, y, 0, n), std::invalid_argument);
+  EXPECT_THROW(nn::linear_forward_rows(x, w, b_short, y, 0, n), std::invalid_argument);
+  nn::Mat y_short(n - 1, out);
+  EXPECT_THROW(nn::linear_forward_rows(x, w, b, y_short, 0, n), std::invalid_argument);
+  EXPECT_THROW(nn::linear_forward_rows(x, w, b, y, -1, n), std::invalid_argument);
+  EXPECT_THROW(nn::linear_forward_rows(x, w, b, y, 0, n + 1), std::invalid_argument);
+
+  EXPECT_THROW(nn::linear_backward(x_wide, w, gy, gx, gw, gb), std::invalid_argument);
+  nn::Mat gy_wide(n, out + 1), gy_short(n - 1, out);
+  EXPECT_THROW(nn::linear_backward(x, w, gy_wide, gx, gw, gb), std::invalid_argument);
+  EXPECT_THROW(nn::linear_backward(x, w, gy_short, gx, gw, gb), std::invalid_argument);
+  EXPECT_THROW(nn::linear_backward(x, w, gy, gx, gw_wide, gb), std::invalid_argument);
+  nn::Mat gw_short(out - 1, in);
+  EXPECT_THROW(nn::linear_backward(x, w, gy, gx, gw_short, gb), std::invalid_argument);
+  EXPECT_THROW(nn::linear_backward(x, w, gy, gx, gw, gb_short), std::invalid_argument);
+  // A taller w than gy's width is a gy mismatch, never a read past gy's rows.
+  nn::Mat gw_tall(out + 1, in);
+  std::vector<double> gb_tall(out + 1);
+  EXPECT_THROW(nn::linear_backward(x, w_tall, gy, gx, gw_tall, gb_tall), std::invalid_argument);
 }
 
 TEST(Mat, LeakyReluGradCheck) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/teal_scheme.h"
 #include "core/variants.h"
 #include "nn/mat.h"
+#include "nn/packed.h"
 #include "sim/online.h"
 #include "sim/served.h"
 #include "te/objective.h"
@@ -491,6 +493,113 @@ TEST(Precision, F64LinearForwardBitIdenticalToOrderedReference) {
                            y.data().size() * sizeof(double)));
 }
 
+// Fills `m` with normals, every third entry an exact zero and every seventh
+// a -0.0: the values the zero-skip and the +0.0 seeds must treat exactly as
+// the ordered reference does.
+void fill_with_zeros(nn::Mat& m, util::Rng& rng) {
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const double v = rng.normal();
+    m.data()[i] = i % 7 == 0 ? -0.0 : i % 3 == 0 ? 0.0 : v;
+  }
+}
+
+// Ordered backward reference: gx(r, i) sums over o ascending from +0.0,
+// gw(o, i) and gb(o) add over r ascending onto their current values, and
+// gradient entries equal to 0.0 contribute nothing.
+void ref_linear_backward(const nn::Mat& x, const nn::Mat& w, const nn::Mat& gy, nn::Mat& gx,
+                         nn::Mat& gw, std::vector<double>& gb) {
+  gx.resize(x.rows(), x.cols());
+  for (int r = 0; r < x.rows(); ++r) {
+    for (int i = 0; i < x.cols(); ++i) {
+      double acc = 0.0;
+      for (int o = 0; o < w.rows(); ++o) {
+        if (gy.at(r, o) != 0.0) acc += gy.at(r, o) * w.at(o, i);
+      }
+      gx.at(r, i) = acc;
+    }
+  }
+  for (int o = 0; o < w.rows(); ++o) {
+    for (int i = 0; i < x.cols(); ++i) {
+      double acc = gw.at(o, i);
+      for (int r = 0; r < x.rows(); ++r) {
+        if (gy.at(r, o) != 0.0) acc += gy.at(r, o) * x.at(r, i);
+      }
+      gw.at(o, i) = acc;
+    }
+    double acc = gb[static_cast<std::size_t>(o)];
+    for (int r = 0; r < x.rows(); ++r) {
+      if (gy.at(r, o) != 0.0) acc += gy.at(r, o);
+    }
+    gb[static_cast<std::size_t>(o)] = acc;
+  }
+}
+
+bool same_bytes(const nn::Mat& a, const nn::Mat& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+// Every input width the kernels specialize, plus 7 and 300, which run the
+// runtime-width body; row counts on both sides of the pool-parallel
+// threshold (512 rows).
+constexpr int kKernelWidths[] = {2, 4, 6, 8, 10, 12, 16, 20, 24, 7, 300};
+constexpr int kKernelRows[] = {37, 600};
+
+TEST(Precision, F64LinearBackwardBitIdenticalToOrderedReference) {
+  util::Rng rng(37);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int in : kKernelWidths) {
+    for (int n : kKernelRows) {
+      const int out = 9;
+      nn::Mat x(n, in), w(out, in), gy(n, out), gw(out, in);
+      std::vector<double> gb(out);
+      fill_with_zeros(x, rng);
+      fill_with_zeros(w, rng);
+      fill_with_zeros(gy, rng);
+      for (auto& v : gw.data()) v = rng.normal();
+      for (auto& v : gb) v = rng.normal();
+      // Output 4's gradient is zero on every row, so its inf weight must be
+      // skipped, never multiplied (0 * inf would be NaN).
+      for (int r = 0; r < n; ++r) gy.at(r, 4) = r % 2 == 0 ? 0.0 : -0.0;
+      w.at(4, in / 2) = inf;
+
+      nn::Mat gx(n, in, std::numeric_limits<double>::quiet_NaN());  // must be overwritten
+      nn::Mat ref_gx, ref_gw = gw;
+      std::vector<double> ref_gb = gb;
+      nn::linear_backward(x, w, gy, gx, gw, gb);
+      ref_linear_backward(x, w, gy, ref_gx, ref_gw, ref_gb);
+      const std::string at = "in=" + std::to_string(in) + " n=" + std::to_string(n);
+      EXPECT_TRUE(same_bytes(gx, ref_gx)) << at;
+      EXPECT_TRUE(same_bytes(gw, ref_gw)) << at;
+      EXPECT_EQ(0, std::memcmp(gb.data(), ref_gb.data(), gb.size() * sizeof(double))) << at;
+    }
+  }
+}
+
+TEST(Precision, F64LinearForwardRowsBitIdenticalToOrderedReferenceAtEveryWidth) {
+  // The forward at every specialized width and the runtime-width body, as a
+  // full call and as two row ranges.
+  util::Rng rng(41);
+  for (int in : kKernelWidths) {
+    for (int n : kKernelRows) {
+      const int out = 11;
+      nn::Mat x(n, in), w(out, in);
+      std::vector<double> b(out);
+      fill_with_zeros(x, rng);
+      fill_with_zeros(w, rng);
+      for (auto& v : b) v = rng.normal();
+      nn::Mat full, ranged(n, out), ref;
+      nn::linear_forward(x, w, b, full);
+      nn::linear_forward_rows(x, w, b, ranged, 0, n / 3);
+      nn::linear_forward_rows(x, w, b, ranged, n / 3, n);
+      ref_linear_forward(x, w, b, ref);
+      const std::string at = "in=" + std::to_string(in) + " n=" + std::to_string(n);
+      EXPECT_TRUE(same_bytes(full, ref)) << at;
+      EXPECT_TRUE(same_bytes(ranged, ref)) << at;
+    }
+  }
+}
+
 TEST(Precision, F64LeakyReluBitIdenticalToOrderedReference) {
   util::Rng rng(19);
   nn::Mat x(64, 48);
@@ -545,33 +654,16 @@ TEST(Precision, F32LinearForwardMatchesF64WithinTolerance) {
   for (std::size_t i = 0; i < x.data().size(); ++i) xf.data()[i] = static_cast<float>(x.data()[i]);
   for (std::size_t i = 0; i < w.data().size(); ++i) wf.data()[i] = static_cast<float>(w.data()[i]);
   for (std::size_t i = 0; i < b.size(); ++i) bf[i] = static_cast<float>(b[i]);
+  nn::PackedMatF wp;
+  nn::pack_weights(wf, wp);
   nn::Mat y;
   nn::MatF yf;
   nn::linear_forward(x, w, b, y);
-  nn::linear_forward(xf, wf, bf, yf);
+  nn::linear_forward_blocked(xf, wp, bf, yf);
   for (std::size_t i = 0; i < y.data().size(); ++i) {
     EXPECT_NEAR(static_cast<double>(yf.data()[i]), y.data()[i], 1e-4)
         << "i=" << i;
   }
-}
-
-TEST(Precision, F32RowRangeKernelsMatchFullKernels) {
-  // Row-partition invariance of the f32 kernels (the property the sharded
-  // narrowed forward rests on): computing [0,n) in two ranges must equal the
-  // full-kernel bytes.
-  util::Rng rng(31);
-  const int n = 101, in = 16, out = 8;
-  nn::MatF x(n, in), w(out, in);
-  std::vector<float> b(out);
-  for (auto& v : x.data()) v = static_cast<float>(rng.normal());
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal());
-  for (auto& v : b) v = static_cast<float>(rng.normal());
-  nn::MatF full, ranged(n, out);
-  nn::linear_forward(x, w, b, full);
-  nn::linear_forward_rows(x, w, b, ranged, 0, 37);
-  nn::linear_forward_rows(x, w, b, ranged, 37, n);
-  EXPECT_EQ(0, std::memcmp(full.data().data(), ranged.data().data(),
-                           full.data().size() * sizeof(float)));
 }
 
 }  // namespace
