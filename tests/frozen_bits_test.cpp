@@ -9,6 +9,12 @@
 // promises bit-identity for (DESIGN.md "Precision & SIMD"), including
 // -march=x86-64-v3, where a contracted mul+add would change them.
 //
+// The Solve* constants pin the f64 solve the same way: the allocations of
+// TealScheme::solve_into (untrained model, softmax, ADMM fine-tune) at shard
+// knobs 1 and 4, and the ADMM Residuals and output of fine_tune from a
+// shortest-path start, with and without per-path objective weights and at
+// zero iterations.
+//
 // A hash here changes only when f64 arithmetic changes on purpose (a new
 // model, a new loss); re-record the constants in that change and say why.
 // The inputs also pass through libm (Box–Muller normals in the traffic
@@ -22,8 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "core/admm.h"
 #include "core/coma.h"
 #include "core/model.h"
+#include "core/teal_scheme.h"
 #include "nn/module.h"
 #include "te/objective.h"
 #include "topo/topology.h"
@@ -35,9 +43,11 @@ namespace {
 
 struct Fnv {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(const nn::Mat& m) {
-    const auto* p = reinterpret_cast<const unsigned char*>(m.data().data());
-    for (std::size_t i = 0; i < m.size() * sizeof(double); ++i) {
+  void add(const nn::Mat& m) { add(m.data().data(), m.size()); }
+  void add(const std::vector<double>& v) { add(v.data(), v.size()); }
+  void add(const double* v, std::size_t n) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v);
+    for (std::size_t i = 0; i < n * sizeof(double); ++i) {
       h = (h ^ p[i]) * 0x100000001b3ull;
     }
   }
@@ -126,6 +136,78 @@ TEST(FrozenBits, ComaTrainedWeightsB4) {
   Fnv w;
   for (nn::Param* p : model.params()) w.add(p->w);
   EXPECT_EQ(w.hex(), "51ed89b4c33c738e");
+}
+
+struct SolveHashes {
+  std::string allocs, residuals;
+};
+
+// Three solve_into calls at shard knob `shards`, then the scheme's ADMM
+// fine-tuning each interval's shortest-path allocation (overloaded at
+// utilization 2) through one reused workspace; the residual hash covers
+// (before, after) and the tuned allocation.
+SolveHashes solve_hashes(const Setup& s, const core::TealSchemeConfig& cfg, int shards) {
+  core::TealScheme scheme(s.pb, std::make_unique<core::TealModel>(cfg.model, s.pb.k_paths(), 3),
+                          cfg);
+  scheme.set_shard_count(shards);
+  Fnv allocs, residuals;
+  te::Allocation out;
+  core::Admm::Workspace ws;
+  const std::vector<double> caps = s.pb.capacities();
+  const core::ShardPlan plan = core::ShardPlan::make(s.pb.num_demands(), shards);
+  for (int t = 0; t < 3; ++t) {
+    scheme.solve_into(s.pb, s.trace.at(t), out);
+    allocs.add(out.split);
+    te::Allocation a = s.pb.shortest_path_allocation();
+    const auto r = scheme.admm().fine_tune(s.trace.at(t), caps, a, ws, plan);
+    EXPECT_GT(r.before, 0.0);
+    const double pair[2] = {r.before, r.after};
+    residuals.add(pair, 2);
+    residuals.add(a.split);
+  }
+  return {allocs.hex(), residuals.hex()};
+}
+
+TEST(FrozenBits, SolveTotalFlowB4) {
+  const auto s = topo_setup("B4", 120);
+  for (int shards : {1, 4}) {
+    const auto h = solve_hashes(s, {}, shards);
+    EXPECT_EQ(h.allocs, "cab20d36fce14e7f") << "shards " << shards;
+    EXPECT_EQ(h.residuals, "3a6d169487fd82e2") << "shards " << shards;
+  }
+}
+
+TEST(FrozenBits, SolveLatencyPenalizedSwan) {
+  // Per-path objective weights (AdmmConfig::path_weight) and five ADMM
+  // iterations over 400 demands.
+  const auto s = topo_setup("SWAN", 400);
+  core::TealSchemeConfig cfg;
+  cfg.objective = te::Objective::kLatencyPenalizedFlow;
+  cfg.admm_iterations = 5;
+  for (int shards : {1, 4}) {
+    const auto h = solve_hashes(s, cfg, shards);
+    EXPECT_EQ(h.allocs, "f98702f2885308f6") << "shards " << shards;
+    EXPECT_EQ(h.residuals, "1a5db84659e50cb2") << "shards " << shards;
+  }
+}
+
+TEST(FrozenBits, SolveAdmmZeroIterations) {
+  // No iteration runs: the clamp and both residuals come from the start.
+  const auto s = topo_setup("SWAN", 400);
+  core::AdmmConfig cfg;
+  cfg.iterations = 0;
+  const core::Admm admm(s.pb, cfg);
+  Fnv residuals;
+  for (int t = 0; t < 3; ++t) {
+    te::Allocation a = s.pb.shortest_path_allocation();
+    const auto r = admm.fine_tune(s.trace.at(t), s.pb.capacities(), a);
+    EXPECT_GT(r.before, 0.0);
+    EXPECT_EQ(r.after, r.before);
+    const double pair[2] = {r.before, r.after};
+    residuals.add(pair, 2);
+    residuals.add(a.split);
+  }
+  EXPECT_EQ(residuals.hex(), "655e80c56d82bb31");
 }
 
 }  // namespace
