@@ -15,9 +15,10 @@
 // unblocked-f32/blocked-f32 ratio is the layout speedup (CI-asserted >= 1x
 // via TEAL_BENCH_ASSERT_BLOCKED=1).
 //
-// Jitter control: all kernel fixtures are timed with interleaved
-// round-robin samples (one timed run of each fixture per sweep, repeated a
-// pinned odd number of times, median reported). Back-to-back per-fixture
+// Jitter control: all kernel fixtures, and the three precisions of each
+// end-to-end solve, are timed with interleaved round-robin samples (one
+// timed run of each per sweep, repeated a pinned odd number of times,
+// median reported). Back-to-back per-fixture
 // loops let slow drift (frequency scaling, cache warm-up, a noisy
 // neighbor) land entirely on whichever fixture ran last, which is exactly
 // the f64-baseline wobble the earlier ledger entries show; interleaving
@@ -228,23 +229,33 @@ int main() {
     const te::TrafficMatrix& tm = inst->split.test.at(0);
     te::Allocation a64, a32, a16;
 
-    auto time_precision = [&](te::Precision p, te::Allocation& out) {
-      scheme.set_precision(p);
-      scheme.solve_into(inst->pb, tm, out);  // warm-up
-      std::vector<double> ms;
-      ms.reserve(static_cast<std::size_t>(repeats));
-      for (int i = 0; i < repeats; ++i) {
-        scheme.solve_into(inst->pb, tm, out);
-        ms.push_back(scheme.last_solve_seconds() * 1e3);
+    // Interleaved like the kernel fixtures: each round solves once at every
+    // precision, starting one precision later than the round before, so
+    // host drift spreads over all three instead of landing on whichever
+    // ran last. set_precision re-snapshots the narrowed weights outside the
+    // timed solve.
+    const te::Precision precs[3] = {te::Precision::f64, te::Precision::f32,
+                                    te::Precision::bf16};
+    te::Allocation* outs[3] = {&a64, &a32, &a16};
+    std::vector<double> ms[3];
+    for (int i = 0; i < 3; ++i) {  // warm-up, untimed
+      scheme.set_precision(precs[i]);
+      scheme.solve_into(inst->pb, tm, *outs[i]);
+    }
+    for (int r = 0; r < repeats; ++r) {
+      for (int j = 0; j < 3; ++j) {
+        const int i = (r + j) % 3;
+        scheme.set_precision(precs[i]);
+        scheme.solve_into(inst->pb, tm, *outs[i]);
+        ms[i].push_back(scheme.last_solve_seconds() * 1e3);
       }
-      return median(ms);
-    };
+    }
 
     TopoRow row;
     row.name = name;
-    row.f64_ms = time_precision(te::Precision::f64, a64);
-    row.f32_ms = time_precision(te::Precision::f32, a32);
-    row.bf16_ms = time_precision(te::Precision::bf16, a16);
+    row.f64_ms = median(ms[0]);
+    row.f32_ms = median(ms[1]);
+    row.bf16_ms = median(ms[2]);
     row.speedup = row.f32_ms > 0.0 ? row.f64_ms / row.f32_ms : 0.0;
     for (std::size_t i = 0; i < a64.split.size(); ++i) {
       row.max_split_err = std::max(row.max_split_err, std::abs(a64.split[i] - a32.split[i]));

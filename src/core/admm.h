@@ -8,11 +8,12 @@
 //   * slack s1_d for the demand constraints and s3_e for capacity, and
 //   * multipliers lambda1_d, lambda3_e, lambda4_pe with penalty rho.
 // Each ADMM iteration alternates exact minimizations of the augmented
-// Lagrangian: the F-update decomposes per *demand* (a tiny nonnegative QP
-// solved by coordinate descent), the z-update per *edge*, and the slack/dual
-// updates are elementwise — all three embarrassingly parallel, which is why
-// the paper runs ADMM on the GPU. Per §4 the iteration count is 2 for
-// topologies with < 100 nodes and 5 otherwise.
+// Lagrangian in two stages: a per-*demand* block (the previous iteration's
+// s1/l1 updates, then the F-update — a tiny nonnegative QP solved by
+// coordinate descent) and a per-*edge* block (the s3-update, the exact
+// z-update and the l3 and l4 dual ascents) — both embarrassingly parallel,
+// which is why the paper runs ADMM on the GPU. Per §4 the iteration count
+// is 2 for topologies with < 100 nodes and 5 otherwise.
 //
 // Used alone from a cold start, ADMM needs far too many iterations to reach
 // a good solution (§3.4) — the fig14 ablation bench demonstrates exactly
@@ -39,13 +40,18 @@ int default_admm_iterations(int n_nodes);
 
 class Admm {
  public:
-  // Precomputes the per-edge (path, slot) index lists; reusable across solves
-  // on the same Problem.
+  // Reads the (path, edge) incidence layout from `pb`, which must outlive
+  // the Admm; reusable across solves on the same Problem. Throws
+  // std::invalid_argument unless rho > 0 and path_weight is empty or holds
+  // one entry per path.
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
-  // total constraint violation (demand + capacity + coupling residuals)
-  // before and after, letting callers and tests check monotone improvement.
+  // total constraint violation — demand oversubscription plus capacity
+  // overload, in normalized units — of the clamped input and of the last
+  // iterate before the final demand clamp, letting callers and tests check
+  // monotone improvement. Throws std::invalid_argument unless tm, capacities
+  // and a hold one entry per demand, edge and path.
   struct Residuals {
     double before = 0.0;
     double after = 0.0;
@@ -56,10 +62,12 @@ class Admm {
   // entry is fully re-initialized per call, so reuse never changes results.
   // Distinct Workspaces make concurrent fine_tune() calls on one Admm safe.
   // Buffers are arena-aware (util::AVec): a workspace sized under a bound
-  // util::Arena draws all thirteen from the arena in one cold pass.
+  // util::Arena draws all sixteen from the arena in one cold pass.
   struct Workspace {
     util::AVec<double> vol, cap;           // normalized volumes/capacities
     util::AVec<double> x, x_sum;           // split ratios and per-demand sums
+    util::AVec<double> f, den;             // per path: x_p * vol_d, F-update denominator
+    util::AVec<double> num_head, num_tail; // per path: F-update numerator terms
     util::AVec<double> z, z_sum, l4;       // per-(path,edge) auxiliaries
     util::AVec<double> s1, l1, s3, l3;     // slacks and multipliers
     util::AVec<double> load;               // per-edge load (violation check)
@@ -69,14 +77,13 @@ class Admm {
   Residuals fine_tune(const te::TrafficMatrix& tm, const std::vector<double>& capacities,
                       te::Allocation& a, Workspace& ws) const;
 
-  // Demand-sharded fine-tune. The per-demand stages — the F-update
-  // (coordinate descent over [demand_begin, demand_end)), the s1/l1 updates
-  // and the l4 dual ascent over the demands' path ranges — fan out over
-  // `shards`; the coupled link-level stages (per-edge s3/z/l3, which read
-  // paths of *other* demands through the edge incidence lists) run as
-  // per-edge pool passes, and the residual reductions run sequentially on
-  // the calling thread. The resulting allocation is bit-identical for every
-  // shard plan (tests/shard_test.cpp).
+  // Demand-sharded fine-tune. The per-demand block — the s1/l1 updates and
+  // the F-update (coordinate descent over [demand_begin, demand_end)) — and
+  // the final clamp fan out over `shards`; the coupled link-level block
+  // (per-edge s3/z/l3/l4, which reads paths of *other* demands through the
+  // edge incidence lists) runs as a per-edge pool pass, and the residual
+  // reductions run sequentially on the calling thread. The resulting
+  // allocation is bit-identical for every shard plan (tests/shard_test.cpp).
   Residuals fine_tune(const te::TrafficMatrix& tm, const std::vector<double>& capacities,
                       te::Allocation& a, Workspace& ws, const ShardPlan& shards,
                       ShardStat* stats = nullptr) const;
@@ -90,14 +97,6 @@ class Admm {
  private:
   const te::Problem& pb_;
   AdmmConfig cfg_;
-  // Flattened z layout: z index range of path p is [z_offset_[p], z_offset_[p+1]).
-  std::vector<int> z_offset_;
-  // Per edge: list of (z index, global path id) incidences.
-  struct Incidence {
-    int z_index;
-    int path;
-  };
-  std::vector<std::vector<Incidence>> edge_incidence_;
 };
 
 }  // namespace teal::core

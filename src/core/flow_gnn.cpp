@@ -46,48 +46,65 @@ void FlowGnn::prepare(te::Precision p) {
 }
 
 namespace {
-// Widens `m` to `target` columns by appending copies of the 1-dim init
-// feature (§4's expressiveness technique). `out` must not alias `m`.
+// The first block's input: the 1-dim init feature widened to `width`
+// columns (§4's expressiveness technique).
 template <typename T>
-void widen_into(const nn::BasicMat<T>& m, const nn::BasicMat<T>& feat0, int target,
-                nn::BasicMat<T>& out) {
-  out.resize(m.rows(), target);
-  for (int r = 0; r < m.rows(); ++r) {
-    std::copy(m.row_ptr(r), m.row_ptr(r) + m.cols(), out.row_ptr(r));
-    for (int c = m.cols(); c < target; ++c) out.at(r, c) = feat0.at(r, 0);
+void widen_init(const nn::BasicMat<T>& feat0, int width, nn::BasicMat<T>& out) {
+  out.resize(feat0.rows(), width);
+  for (int r = 0; r < feat0.rows(); ++r) {
+    std::fill(out.row_ptr(r), out.row_ptr(r) + width, feat0.at(r, 0));
   }
 }
 
-// Row body of widen_into for sharded callers; `out` must be pre-sized.
-template <typename T>
-inline void widen_row(const nn::BasicMat<T>& m, const nn::BasicMat<T>& feat0, int r,
-                      nn::BasicMat<T>& out) {
-  const int target = out.cols();
-  std::copy(m.row_ptr(r), m.row_ptr(r) + m.cols(), out.row_ptr(r));
-  for (int c = m.cols(); c < target; ++c) out.at(r, c) = feat0.at(r, 0);
-}
-
-// Mean over a neighbor list into one pre-sized output row. Accumulation
-// order follows the list, so any row partition is bit-identical.
-template <typename T, typename List>
-inline void mean_gather_row(const nn::BasicMat<T>& src, const List& neighbors, T* out,
-                            int d) {
-  for (int c = 0; c < d; ++c) out[c] = T(0);
-  if (neighbors.empty()) return;
-  for (auto n : neighbors) {
-    const T* nr = src.row_ptr(static_cast<int>(n));
-    for (int c = 0; c < d; ++c) out[c] += nr[c];
+// Concat rows [r0, r1) of `cat`: [self row | mean of the `src` rows listed
+// by nbrs(r)]. The mean accumulates in list order, so any row partition is
+// bit-identical. W > 0 fixes the width at compile time and keeps the sums in
+// registers; W == 0 reads it from `self`.
+template <int W, typename T, typename Nbrs>
+void cat_mean_rows(const nn::BasicMat<T>& self, const nn::BasicMat<T>& src, Nbrs nbrs,
+                   nn::BasicMat<T>& cat, int r0, int r1) {
+  const int d = W > 0 ? W : self.cols();
+  for (int r = r0; r < r1; ++r) {
+    T* out = cat.row_ptr(r);
+    std::copy(self.row_ptr(r), self.row_ptr(r) + d, out);
+    T regs[W > 0 ? W : 1];
+    T* acc = W > 0 ? regs : out + d;
+    for (int c = 0; c < d; ++c) acc[c] = T(0);
+    const auto ns = nbrs(r);
+    if (!ns.empty()) {
+      for (const auto n : ns) {
+        const T* nr = src.row_ptr(static_cast<int>(n));
+        for (int c = 0; c < d; ++c) acc[c] += nr[c];
+      }
+      const T inv = T(1) / static_cast<T>(ns.size());
+      for (int c = 0; c < d; ++c) acc[c] *= inv;
+    }
+    if constexpr (W > 0) std::copy(regs, regs + W, out + W);
   }
-  const T inv = T(1) / static_cast<T>(neighbors.size());
-  for (int c = 0; c < d; ++c) out[c] *= inv;
 }
 
-// Concat row body: out row r = [a row r | b row r]; `out` pre-sized.
+// Dispatches cat_mean_rows on the block widths of the default models (1..6).
+template <typename T, typename Nbrs>
+void cat_mean_rows(const nn::BasicMat<T>& self, const nn::BasicMat<T>& src, Nbrs nbrs,
+                   nn::BasicMat<T>& cat, int r0, int r1) {
+  switch (self.cols()) {
+    case 1: return cat_mean_rows<1>(self, src, nbrs, cat, r0, r1);
+    case 2: return cat_mean_rows<2>(self, src, nbrs, cat, r0, r1);
+    case 3: return cat_mean_rows<3>(self, src, nbrs, cat, r0, r1);
+    case 4: return cat_mean_rows<4>(self, src, nbrs, cat, r0, r1);
+    case 5: return cat_mean_rows<5>(self, src, nbrs, cat, r0, r1);
+    case 6: return cat_mean_rows<6>(self, src, nbrs, cat, r0, r1);
+    default: return cat_mean_rows<0>(self, src, nbrs, cat, r0, r1);
+  }
+}
+
+// LeakyReLU of the d pre-activations at `pre` into `out`, then the widening
+// fill of out[d, width) with the init value (§4). Same per-element
+// expression as nn::leaky_relu_forward_rows.
 template <typename T>
-inline void concat_row(const nn::BasicMat<T>& a, const nn::BasicMat<T>& b, int r,
-                       nn::BasicMat<T>& out) {
-  std::copy(a.row_ptr(r), a.row_ptr(r) + a.cols(), out.row_ptr(r));
-  std::copy(b.row_ptr(r), b.row_ptr(r) + b.cols(), out.row_ptr(r) + a.cols());
+inline void leaky_widen(const T* pre, int d, T alpha, T* out, int width, T fill) {
+  for (int c = 0; c < d; ++c) out[c] = pre[c] >= T(0) ? pre[c] : alpha * pre[c];
+  std::fill(out + d, out + width, fill);
 }
 }  // namespace
 
@@ -133,24 +150,21 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Laye
                              int l, int e_begin, int e_end) const {
   // Fused edge side of block l for rows [e_begin, e_end): bipartite
   // aggregation gather (the coupled link-level step — it reads *all* path
-  // rows of the block input, which is why blocks need a barrier), concat,
-  // dense update, activation and widening toward the next block. Every
-  // write lands in this slice's rows only.
+  // rows of the block input, which is why blocks need a barrier) into the
+  // concat, dense update, and activation written widened into the next
+  // block's input. The last block has no edge pass: its edge output feeds
+  // nothing. Every write lands in this slice's rows only.
   auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
   const int d = dims_[static_cast<std::size_t>(l)];
-  const auto& e_lin = lin.edge[static_cast<std::size_t>(l)];
-  const bool last = l + 1 >= cfg_.n_blocks;
-  nn::BasicMat<T>* next_in =
-      last ? nullptr : &fwd.blocks[static_cast<std::size_t>(l) + 1].edge_in;
+  auto& next_in = fwd.blocks[static_cast<std::size_t>(l) + 1].edge_in;
+  cat_mean_rows(blk.edge_in, blk.path_in,
+                [&pb](int e) { return pb.paths_on_edge(static_cast<topo::EdgeId>(e)); },
+                blk.edge_cat, e_begin, e_end);
+  lin.edge[static_cast<std::size_t>(l)].forward_rows(blk.edge_cat, blk.edge_pre, e_begin, e_end);
+  const T alpha = static_cast<T>(cfg_.leaky_alpha);
   for (int e = e_begin; e < e_end; ++e) {
-    mean_gather_row(blk.path_in, pb.paths_on_edge(static_cast<topo::EdgeId>(e)),
-                    fwd.agg_e.row_ptr(e), d);
-    concat_row(blk.edge_in, fwd.agg_e, e, blk.edge_cat);
-  }
-  e_lin.forward_rows(blk.edge_cat, blk.edge_pre, e_begin, e_end);
-  nn::leaky_relu_forward_rows(blk.edge_pre, blk.edge_act, e_begin, e_end, cfg_.leaky_alpha);
-  if (next_in != nullptr) {
-    for (int e = e_begin; e < e_end; ++e) widen_row(blk.edge_act, fwd.edge_feat0, e, *next_in);
+    leaky_widen(blk.edge_pre.row_ptr(e), d, alpha, next_in.row_ptr(e), next_in.cols(),
+                fwd.edge_feat0.at(e, 0));
   }
 }
 
@@ -158,56 +172,46 @@ template <typename T, typename Lin>
 void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<Lin>& lin,
                                int l, int d_begin, int d_end) const {
   // Fused demand side of block l for demands [d_begin, d_end): per-path
-  // aggregation/dense update, then the per-demand DNN layer, then widening
-  // (or the final-embedding copy). Paths of a demand are contiguous, so the
-  // slice touches only its own rows of every matrix.
+  // aggregation/dense update with its activation written straight into the
+  // DNN input slots, then the per-demand DNN layer with its activation
+  // written widened into the next block's input (or into the final
+  // embeddings). Paths of a demand are contiguous, so the slice touches only
+  // its own rows of every matrix.
   auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
   const int d = dims_[static_cast<std::size_t>(l)];
   const int k = k_paths_;
-  const auto& p_lin = lin.path[static_cast<std::size_t>(l)];
-  const auto& dnn = lin.dnn[static_cast<std::size_t>(l)];
   const bool last = l + 1 >= cfg_.n_blocks;
-  nn::BasicMat<T>* next_in =
-      last ? nullptr : &fwd.blocks[static_cast<std::size_t>(l) + 1].path_in;
+  nn::BasicMat<T>& out =
+      last ? fwd.final_paths : fwd.blocks[static_cast<std::size_t>(l) + 1].path_in;
+  const T alpha = static_cast<T>(cfg_.leaky_alpha);
   if (d_begin >= d_end) return;
   // The slice's paths are contiguous (demands own contiguous path ranges),
   // so every dense kernel runs once over the whole slice.
   const int p_begin = pb.path_begin(d_begin);
   const int p_end = pb.path_end(d_end - 1);
   // --- GNN layer, path side.
-  for (int p = p_begin; p < p_end; ++p) {
-    mean_gather_row(blk.edge_in, pb.path_edges(p), fwd.agg_p.row_ptr(p), d);
-    concat_row(blk.path_in, fwd.agg_p, p, blk.path_cat);
-  }
-  p_lin.forward_rows(blk.path_cat, blk.path_pre, p_begin, p_end);
-  nn::leaky_relu_forward_rows(blk.path_pre, blk.path_act, p_begin, p_end, cfg_.leaky_alpha);
+  cat_mean_rows(blk.path_in, blk.edge_in, [&pb](int p) { return pb.path_edges(p); },
+                blk.path_cat, p_begin, p_end);
+  lin.path[static_cast<std::size_t>(l)].forward_rows(blk.path_cat, blk.path_pre, p_begin, p_end);
   // --- DNN layer: coordinate the k paths of each demand. Demands with
   // fewer than k paths keep zero padding in their trailing slots.
   for (int dem = d_begin; dem < d_end; ++dem) {
     T* row = blk.dnn_in.row_ptr(dem);
-    std::fill(row, row + k * d, T(0));
-    int slot = 0;
-    for (int p = pb.path_begin(dem); p < pb.path_end(dem); ++p, ++slot) {
-      std::copy(blk.path_act.row_ptr(p), blk.path_act.row_ptr(p) + d, row + slot * d);
+    const int n = pb.num_paths(dem);
+    for (int slot = 0; slot < n; ++slot) {
+      leaky_widen(blk.path_pre.row_ptr(pb.path_begin(dem) + slot), d, alpha, row + slot * d, d,
+                  T(0));
     }
+    std::fill(row + n * d, row + k * d, T(0));
   }
-  dnn.forward_rows(blk.dnn_in, blk.dnn_pre, d_begin, d_end);
-  nn::leaky_relu_forward_rows(blk.dnn_pre, fwd.dnn_act, d_begin, d_end, cfg_.leaky_alpha);
+  lin.dnn[static_cast<std::size_t>(l)].forward_rows(blk.dnn_in, blk.dnn_pre, d_begin, d_end);
+  // --- Activation, widened toward the next block's dimension and refilled
+  // with the initialization value (§4), or the final embeddings.
   for (int dem = d_begin; dem < d_end; ++dem) {
-    const T* act = fwd.dnn_act.row_ptr(dem);
-    int slot = 0;
-    for (int p = pb.path_begin(dem); p < pb.path_end(dem); ++p, ++slot) {
-      std::copy(act + slot * d, act + (slot + 1) * d, blk.path_out.row_ptr(p));
-    }
-  }
-  // --- Widen toward the next block's dimension, refilled with the
-  // initialization value (§4), or copy out the final embeddings.
-  for (int p = p_begin; p < p_end; ++p) {
-    if (next_in != nullptr) {
-      widen_row(blk.path_out, fwd.path_feat0, p, *next_in);
-    } else {
-      std::copy(blk.path_out.row_ptr(p), blk.path_out.row_ptr(p) + d,
-                fwd.final_paths.row_ptr(p));
+    const T* pre = blk.dnn_pre.row_ptr(dem);
+    for (int p = pb.path_begin(dem); p < pb.path_end(dem); ++p) {
+      leaky_widen(pre + (p - pb.path_begin(dem)) * d, d, alpha, out.row_ptr(p), out.cols(),
+                  fwd.path_feat0.at(p, 0));
     }
   }
 }
@@ -247,8 +251,8 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
         tm.volume[static_cast<std::size_t>(pb.demand_of_path(p))] / mean_cap);
   }
 
-  widen_into(fwd.edge_feat0, fwd.edge_feat0, dims_[0], fwd.blocks[0].edge_in);
-  widen_into(fwd.path_feat0, fwd.path_feat0, dims_[0], fwd.blocks[0].path_in);
+  widen_init(fwd.edge_feat0, dims_[0], fwd.blocks[0].edge_in);
+  widen_init(fwd.path_feat0, dims_[0], fwd.blocks[0].path_in);
 
   for (int l = 0; l < cfg_.n_blocks; ++l) {
     auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
@@ -257,33 +261,28 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
     // Size every buffer of the block before fanning out — resize must never
     // run concurrently, and pre-sizing keeps warm passes allocation-free
     // exactly as before.
-    fwd.agg_e.resize(ne, d);
-    fwd.agg_p.resize(np, d);
-    blk.edge_cat.resize(ne, 2 * d);
+    const bool last = l + 1 == cfg_.n_blocks;
     blk.path_cat.resize(np, 2 * d);
-    blk.edge_pre.resize(ne, d);
     blk.path_pre.resize(np, d);
-    blk.edge_act.resize(ne, d);
-    blk.path_act.resize(np, d);
     blk.dnn_in.resize(nd, k * d);
     blk.dnn_pre.resize(nd, k * d);
-    fwd.dnn_act.resize(nd, k * d);
-    blk.path_out.resize(np, d);
-    if (l + 1 < cfg_.n_blocks) {
+    if (!last) {
       const int next = dims_[static_cast<std::size_t>(l) + 1];
       auto& nxt = fwd.blocks[static_cast<std::size_t>(l) + 1];
+      blk.edge_cat.resize(ne, 2 * d);
+      blk.edge_pre.resize(ne, d);
       nxt.edge_in.resize(ne, next);
       nxt.path_in.resize(np, next);
+      // Edge pass (coupled link-level step): parallel over edge rows through
+      // the pool — deterministic per row, so identical under any chunking.
+      util::ThreadPool::global().parallel_chunks(
+          static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e) {
+            edge_pass_rows(pb, fwd, lin, l, static_cast<int>(b), static_cast<int>(e));
+          });
     } else {
       fwd.final_paths.resize(np, d);
     }
 
-    // Edge pass (coupled link-level step): parallel over edge rows through
-    // the pool — deterministic per row, so identical under any chunking.
-    util::ThreadPool::global().parallel_chunks(
-        static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e) {
-          edge_pass_rows(pb, fwd, lin, l, static_cast<int>(b), static_cast<int>(e));
-        });
     // Demand pass: fanned over the shard plan, each shard writing its own
     // demand slice of the shared workspace.
     run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
@@ -336,8 +335,6 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
   ws.g_path_out.resize(np, grad_final_paths.cols());
   std::copy(grad_final_paths.data().begin(), grad_final_paths.data().end(),
             ws.g_path_out.data().begin());
-  ws.g_edge_out.resize(ne, dims_.back());
-  ws.g_edge_out.zero();  // the last block's edge output feeds nothing
 
   for (int l = cfg_.n_blocks - 1; l >= 0; --l) {
     const auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
@@ -371,14 +368,18 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
     }
 
     // --- GNN layer backward (edge and path updates are independent given
-    // the block inputs, because message passing is synchronous).
+    // the block inputs, because message passing is synchronous). The last
+    // block's edge output feeds nothing, so its gradient is exactly zero:
+    // its edge update backward and the path scatter it feeds are skipped
+    // (zero gradient entries add nothing to the parameter grads).
+    const bool last = l + 1 == cfg_.n_blocks;
     nn::leaky_relu_backward(blk.path_pre, ws.g_path_act, ws.g_path_pre, cfg_.leaky_alpha);
     {
       auto [gw, gb] = pair_of(1, ls);
       lin_.path[ls].backward_acc(blk.path_cat, ws.g_path_pre, ws.g_path_cat, gw, gb);
     }
-    nn::leaky_relu_backward(blk.edge_pre, ws.g_edge_out, ws.g_edge_pre, cfg_.leaky_alpha);
-    {
+    if (!last) {
+      nn::leaky_relu_backward(blk.edge_pre, ws.g_edge_out, ws.g_edge_pre, cfg_.leaky_alpha);
       auto [gw, gb] = pair_of(0, ls);
       lin_.edge[ls].backward_acc(blk.edge_cat, ws.g_edge_pre, ws.g_edge_cat, gw, gb);
     }
@@ -397,14 +398,18 @@ void FlowGnn::backward_ws(const te::Problem& pb, const Forward& fwd,
             ws.g_path_in.row_ptr(p), ws.g_agg_edges.row_ptr(p));
     }
     ws.g_edge_in.resize(ne, d);
-    ws.g_agg_paths.resize(ne, d);
-    for (int e = 0; e < ne; ++e) {
-      split(ws.g_edge_cat.row_ptr(e), static_cast<int>(pb.paths_on_edge(e).size()),
-            ws.g_edge_in.row_ptr(e), ws.g_agg_paths.row_ptr(e));
+    if (last) {
+      ws.g_edge_in.zero();
+    } else {
+      ws.g_agg_paths.resize(ne, d);
+      for (int e = 0; e < ne; ++e) {
+        split(ws.g_edge_cat.row_ptr(e), static_cast<int>(pb.paths_on_edge(e).size()),
+              ws.g_edge_in.row_ptr(e), ws.g_agg_paths.row_ptr(e));
+      }
     }
     // Aggregation transposes (accumulate on top of the self halves).
     scatter_grad_paths_from_edges(pb, ws.g_agg_edges, ws.g_edge_in);
-    scatter_grad_edges_from_paths(pb, ws.g_agg_paths, ws.g_path_in);
+    if (!last) scatter_grad_edges_from_paths(pb, ws.g_agg_paths, ws.g_path_in);
 
     // --- Widening backward: the previous block's outputs are the leading
     // columns of this block's inputs (appended init columns are constants).

@@ -63,24 +63,22 @@ class FlowGnn {
   // inference mirror. Only the f64 cache feeds backward_ws().
   template <typename T>
   struct ForwardT {
-    // Per-block caches needed by backward.
+    // Per-block caches needed by backward. Each activation is written
+    // straight to its consumer (the DNN input slots, the next block's
+    // inputs, final_paths), so no post-activation copy is kept. The last
+    // block has no edge pass (its edge output feeds nothing): its edge_cat
+    // and edge_pre stay unsized.
     struct Block {
       nn::BasicMat<T> edge_in, path_in;    // block inputs (N_e x d), (N_p x d)
       nn::BasicMat<T> edge_cat, path_cat;  // concat [self, agg] inputs to the linears
       nn::BasicMat<T> edge_pre, path_pre;  // pre-activations
-      nn::BasicMat<T> edge_act, path_act;  // post-activations (edge output of block)
       nn::BasicMat<T> dnn_in, dnn_pre;     // per-demand concat (D x k*d) and pre-act
-      nn::BasicMat<T> path_out;            // paths after the DNN layer (N_p x d)
     };
     // Arena-aware like the Mats inside: a cold forward under a bound
     // util::Arena grows the whole block list out of the arena.
     util::AVec<Block> blocks;
     nn::BasicMat<T> edge_feat0, path_feat0;  // initial 1-dim features (for widening)
     nn::BasicMat<T> final_paths;             // (N_p x n_blocks) final path embeddings
-
-    // Scratch reused across blocks (not needed by backward).
-    nn::BasicMat<T> agg_e, agg_p;            // bipartite aggregation outputs
-    nn::BasicMat<T> dnn_act;                 // DNN-layer activation
     std::vector<double> caps;  // capacity snapshot when none is passed (always f64)
   };
   using Forward = ForwardT<double>;
@@ -90,10 +88,11 @@ class FlowGnn {
   // per-interval inputs, writing into (and reusing) the caller-owned
   // workspace. `capacities` may override the graph's (link failures, §5.3).
   // Each block runs as two fused passes: an edge pass (per-edge aggregation +
-  // dense update, the coupled link-level step, parallelized over edge rows)
-  // and a demand pass fanned over `shards` — each shard runs the whole
-  // path/DNN pipeline for its demand slice [begin, end), writing disjoint
-  // rows of the shared Forward workspace. Results are bit-identical for every
+  // dense update, the coupled link-level step, parallelized over edge rows;
+  // skipped in the last block, whose edge output feeds nothing) and a demand
+  // pass fanned over `shards` — each shard runs the whole path/DNN pipeline
+  // for its demand slice [begin, end), writing disjoint rows of the shared
+  // Forward workspace. Results are bit-identical for every
   // shard plan; `stats` (optional, shards.n_shards entries) accumulates
   // per-shard busy time.
   void forward(const te::Problem& pb, const te::TrafficMatrix& tm,

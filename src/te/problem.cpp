@@ -43,21 +43,32 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
       });
 
   path_offset_.push_back(0);
+  path_inc_offset_.push_back(0);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (per_demand[i].empty()) continue;  // unreachable pair: drop
     demands_.push_back(demands[i]);
-    for (auto& p : per_demand[i]) {
+    for (const auto& p : per_demand[i]) {
       path_demand_.push_back(static_cast<int>(demands_.size()) - 1);
       path_latency_.push_back(topo::path_latency(graph_, p));
-      path_edges_.push_back(std::move(p));
+      path_edge_.insert(path_edge_.end(), p.begin(), p.end());
+      path_inc_offset_.push_back(static_cast<int>(path_edge_.size()));
     }
-    path_offset_.push_back(static_cast<int>(path_edges_.size()));
+    path_offset_.push_back(static_cast<int>(path_demand_.size()));
   }
 
-  edge_paths_.assign(static_cast<std::size_t>(graph_.num_edges()), {});
-  for (std::size_t p = 0; p < path_edges_.size(); ++p) {
-    for (topo::EdgeId e : path_edges_[p]) {
-      edge_paths_[static_cast<std::size_t>(e)].push_back(static_cast<int>(p));
+  // Edge -> path lists by counting sort over the incidences in path order,
+  // so every edge's paths come out ascending.
+  edge_offset_.assign(static_cast<std::size_t>(graph_.num_edges()) + 1, 0);
+  for (topo::EdgeId e : path_edge_) ++edge_offset_[static_cast<std::size_t>(e) + 1];
+  std::partial_sum(edge_offset_.begin(), edge_offset_.end(), edge_offset_.begin());
+  edge_path_.resize(path_edge_.size());
+  edge_inc_.resize(path_edge_.size());
+  std::vector<int> fill(edge_offset_.begin(), edge_offset_.end() - 1);
+  for (int p = 0; p < total_paths(); ++p) {
+    for (int i = incidence_begin(p); i < incidence_end(p); ++i) {
+      const int slot = fill[static_cast<std::size_t>(path_edge_[static_cast<std::size_t>(i)])]++;
+      edge_path_[static_cast<std::size_t>(slot)] = p;
+      edge_inc_[static_cast<std::size_t>(slot)] = i;
     }
   }
 }

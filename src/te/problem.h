@@ -7,12 +7,17 @@
 // capacity vector override. The decision variable is an Allocation: a split
 // ratio F_d(p) in [0,1] per (demand, path), with sum_p F_d(p) <= 1.
 //
-// Problem precomputes the flattened index structures every solver in this
-// repo shares: a global path id space, per-demand offsets, path->edge lists
-// and edge->path inverted lists.
+// Problem precomputes the index structures every solver in this repo
+// shares, each a flat CSR pair (offsets + one value array): a global path id
+// space (demand d owns paths [path_begin(d), path_end(d))); path -> edge
+// incidence, path p's edges in path order at positions [incidence_begin(p),
+// incidence_end(p)) — a position is the (path, edge) pair's incidence id,
+// the index of ADMM's per-(path, edge) variables; and edge -> path
+// incidence, per edge its path ids ascending with their incidence ids.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,15 +68,26 @@ class Problem {
   // Demand that owns global path id p.
   int demand_of_path(int p) const { return path_demand_[static_cast<std::size_t>(p)]; }
 
-  // Edges of global path p.
-  const topo::Path& path_edges(int p) const { return path_edges_[static_cast<std::size_t>(p)]; }
+  // Edges of global path p, in path order.
+  std::span<const topo::EdgeId> path_edges(int p) const {
+    return row(path_edge_, incidence_begin(p), incidence_end(p));
+  }
+
+  // Incidence id range of path p: [incidence_begin(p), incidence_end(p)).
+  int incidence_begin(int p) const { return path_inc_offset_[static_cast<std::size_t>(p)]; }
+  int incidence_end(int p) const { return path_inc_offset_[static_cast<std::size_t>(p) + 1]; }
+  int total_incidences() const { return path_inc_offset_.back(); }
 
   // Latency of global path p (sum of edge latencies; cached).
   double path_latency(int p) const { return path_latency_[static_cast<std::size_t>(p)]; }
 
-  // Global path ids traversing edge e.
-  const std::vector<int>& paths_on_edge(topo::EdgeId e) const {
-    return edge_paths_[static_cast<std::size_t>(e)];
+  // Global path ids traversing edge e, ascending.
+  std::span<const int> paths_on_edge(topo::EdgeId e) const {
+    return row(edge_path_, edge_offset(e), edge_offset(e + 1));
+  }
+  // Incidence id of each (paths_on_edge(e)[i], e) pair, aligned with it.
+  std::span<const int> incidences_on_edge(topo::EdgeId e) const {
+    return row(edge_inc_, edge_offset(e), edge_offset(e + 1));
   }
 
   // Zero-filled allocation of the right size.
@@ -93,14 +109,22 @@ class Problem {
   void capacities_into(std::vector<double>& out) const;
 
  private:
+  template <typename T>
+  static std::span<const T> row(const std::vector<T>& v, int begin, int end) {
+    return {v.data() + begin, static_cast<std::size_t>(end - begin)};
+  }
+  int edge_offset(topo::EdgeId e) const { return edge_offset_[static_cast<std::size_t>(e)]; }
+
   topo::Graph graph_;
   std::vector<Demand> demands_;
   int k_paths_;
   std::vector<int> path_offset_;             // size num_demands()+1
   std::vector<int> path_demand_;             // size total_paths()
-  std::vector<topo::Path> path_edges_;       // size total_paths()
   std::vector<double> path_latency_;         // size total_paths()
-  std::vector<std::vector<int>> edge_paths_; // size num_edges()
+  std::vector<int> path_inc_offset_;         // size total_paths()+1
+  std::vector<topo::EdgeId> path_edge_;      // size total_incidences()
+  std::vector<int> edge_offset_;             // size num_edges()+1
+  std::vector<int> edge_path_, edge_inc_;    // size total_incidences()
 };
 
 // All (src, dst) ordered pairs of g.

@@ -95,7 +95,7 @@ double path_latency(const Graph& g, const Path& p) {
   return total;
 }
 
-void validate_path(const Graph& g, const Path& p, NodeId src, NodeId dst) {
+void validate_path(const Graph& g, std::span<const EdgeId> p, NodeId src, NodeId dst) {
   if (p.empty()) {
     if (src != dst) throw std::invalid_argument("validate_path: empty path, src != dst");
     return;

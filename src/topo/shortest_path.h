@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,6 @@ std::vector<int> bfs_hops(const Graph& g, NodeId src);
 double path_latency(const Graph& g, const Path& p);
 
 // Validates that p is a contiguous src->dst simple path; throws otherwise.
-void validate_path(const Graph& g, const Path& p, NodeId src, NodeId dst);
+void validate_path(const Graph& g, std::span<const EdgeId> p, NodeId src, NodeId dst);
 
 }  // namespace teal::topo

@@ -3,6 +3,9 @@
 // and the cold-start observation that motivates warm-starting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/admm.h"
 #include "te/objective.h"
 #include "topo/topology.h"
@@ -145,6 +148,36 @@ TEST(Admm, NoViolationIsStable) {
   double routed = 0.0;
   for (double s : a.split) routed += s;
   EXPECT_GT(routed, 0.0);
+}
+
+TEST(Admm, RejectsMisshapedInputs) {
+  // Every input the solve indexes by path, demand or edge id is checked up
+  // front, as is the penalty it divides by.
+  traffic::Trace trace;
+  auto pb = b4_problem(2.0, &trace);
+  core::AdmmConfig bad_weights;
+  bad_weights.path_weight.assign(static_cast<std::size_t>(pb.total_paths()) - 1, 1.0);
+  EXPECT_THROW(core::Admm(pb, bad_weights), std::invalid_argument);
+  for (double rho : {0.0, -1.0, std::nan("")}) {
+    core::AdmmConfig bad_rho;
+    bad_rho.rho = rho;
+    EXPECT_THROW(core::Admm(pb, bad_rho), std::invalid_argument) << rho;
+  }
+
+  const core::Admm admm(pb, {});
+  const auto& tm = trace.at(0);
+  const auto caps = pb.capacities();
+  auto short_split = pb.shortest_path_allocation();
+  short_split.split.pop_back();
+  EXPECT_THROW(admm.fine_tune(tm, caps, short_split), std::invalid_argument);
+  auto a = pb.shortest_path_allocation();
+  te::TrafficMatrix short_tm = tm;
+  short_tm.volume.pop_back();
+  EXPECT_THROW(admm.fine_tune(short_tm, caps, a), std::invalid_argument);
+  const std::vector<double> short_caps(caps.begin(), caps.end() - 1);
+  EXPECT_THROW(admm.fine_tune(tm, short_caps, a), std::invalid_argument);
+  // The well-shaped call still runs.
+  EXPECT_NO_THROW(admm.fine_tune(tm, caps, a));
 }
 
 }  // namespace

@@ -63,14 +63,25 @@ TEST_P(SchemeProperties, ProblemStructureInvariants) {
       prev = pb.path_latency(p);
     }
   }
-  // Inverted index consistency.
+  // Inverted index consistency: every edge lists its paths ascending, each
+  // aligned with the incidence id of that (path, edge) pair, and the edge
+  // lists cover every incidence once.
+  int covered = 0;
   for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
-    for (int p : pb.paths_on_edge(e)) {
-      bool found = false;
-      for (topo::EdgeId pe : pb.path_edges(p)) found |= pe == e;
-      EXPECT_TRUE(found);
+    const auto paths = pb.paths_on_edge(e);
+    const auto incs = pb.incidences_on_edge(e);
+    ASSERT_EQ(paths.size(), incs.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const int p = paths[i];
+      if (i > 0) EXPECT_LT(paths[i - 1], p);
+      ASSERT_GE(incs[i], pb.incidence_begin(p));
+      ASSERT_LT(incs[i], pb.incidence_end(p));
+      EXPECT_EQ(pb.path_edges(p)[static_cast<std::size_t>(incs[i] - pb.incidence_begin(p))], e);
     }
+    covered += static_cast<int>(paths.size());
   }
+  EXPECT_EQ(covered, pb.total_incidences());
+  EXPECT_EQ(pb.incidence_end(pb.total_paths() - 1), pb.total_incidences());
 }
 
 TEST_P(SchemeProperties, LpIsFeasibleAndDominant) {

@@ -306,7 +306,8 @@ void expect_ksp_matches_frozen(const topo::Graph& g, const std::vector<te::Deman
     ASSERT_EQ(pb.demands()[static_cast<std::size_t>(d)].src, dm.src);
     ASSERT_EQ(pb.num_paths(d), static_cast<int>(want.size()));
     for (int i = 0; i < pb.num_paths(d); ++i) {
-      ASSERT_EQ(pb.path_edges(pb.path_begin(d) + i), want[static_cast<std::size_t>(i)])
+      const auto edges = pb.path_edges(pb.path_begin(d) + i);
+      ASSERT_EQ(topo::Path(edges.begin(), edges.end()), want[static_cast<std::size_t>(i)])
           << "demand " << d << " path " << i;
     }
     ++d;
