@@ -156,7 +156,8 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
           l1[di] += rho * (x_sum[di] + s1[di] - 1.0);
         }
         // The numerator w*dv - l1 - dv*Σl4 - rho*rest + rho*dv*Σz changes
-        // across sweeps only through rest: form the rest once, in order.
+        // across sweeps only through rest, so its head (before rest) and
+        // tail (after it) are formed once per iteration, in the same order.
         for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
           const auto ps = static_cast<std::size_t>(p);
           double sum_l4 = 0.0, sum_z = 0.0;

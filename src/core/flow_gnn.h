@@ -92,9 +92,9 @@ class FlowGnn {
   // skipped in the last block, whose edge output feeds nothing) and a demand
   // pass fanned over `shards` — each shard runs the whole path/DNN pipeline
   // for its demand slice [begin, end), writing disjoint rows of the shared
-  // Forward workspace. Results are bit-identical for every
-  // shard plan; `stats` (optional, shards.n_shards entries) accumulates
-  // per-shard busy time.
+  // Forward workspace. Results are bit-identical for every shard plan;
+  // `stats` (optional, shards.n_shards entries) accumulates per-shard busy
+  // time.
   void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                const std::vector<double>* capacities, Forward& fwd,
                const ShardPlan& shards, ShardStat* stats = nullptr) const;
